@@ -2,35 +2,13 @@
 
 The mutual-information estimator spends essentially all of its time finding
 per-point k-th neighbor distances and counting marginal neighbors under the
-max norm.  Both kernels exist twice: a numba-compiled version and a chunked
-pure-numpy version.  Set ``BLOCKORDER_DISABLE_NUMBA=1`` to force the numpy
-path.  The two paths are bit-identical (integer counts, and the k-th order
-statistic is a well-defined value regardless of the selection algorithm), so
-swapping them never changes results, only speed.  ``benchmarks/bench_mi.py``
-times the two side by side.
+max norm.  Both kernels compute the pairwise distances exactly, in row
+chunks that bound the scratch memory; the chunk size never changes a result.
 """
-
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("BLOCKORDER_DISABLE_NUMBA", "").strip().lower() in {
-    "1",
-    "true",
-    "yes",
-    "on",
-}
-
-try:
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via BLOCKORDER_DISABLE_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-# ~32 MB of float64 scratch per chunk in the numpy fallback
+# ~32 MB of float64 scratch per chunk
 _CHUNK_FLOATS = 4_000_000
 
 
@@ -49,7 +27,7 @@ def _chebyshev_block(block, pts):
     return dist
 
 
-def kth_neighbor_distance_numpy(points, k):
+def kth_neighbor_distance(points, k):
     """Max-norm distance from each point to its k-th nearest neighbor.
 
     ``points`` is (n, d); the distance to self (0) occupies rank 0, so the
@@ -65,7 +43,7 @@ def kth_neighbor_distance_numpy(points, k):
     return out
 
 
-def count_within_numpy(points, radii):
+def count_within(points, radii):
     """Count, per point, the other points strictly inside its max-norm radius."""
     pts = _as_points(points)
     n = pts.shape[0]
@@ -75,63 +53,9 @@ def count_within_numpy(points, radii):
         block = pts[start : start + step]
         dist = _chebyshev_block(block, pts)
         inside = dist < radii[start : start + step, None]
-        # self-distance 0 is always strictly inside a positive radius
+        # self (distance 0) is inside only a positive radius; tied data can
+        # give a radius of 0
         out[start : start + step] = inside.sum(axis=1) - inside[
             np.arange(block.shape[0]), np.arange(start, start + block.shape[0])
         ].astype(np.int64)
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _kth_neighbor_distance_jit(pts, k):  # pragma: no cover - compiled
-        n, d = pts.shape
-        out = np.empty(n, dtype=np.float64)
-        buf = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            for j in range(n):
-                m = 0.0
-                for r in range(d):
-                    v = abs(pts[i, r] - pts[j, r])
-                    if v > m:
-                        m = v
-                buf[j] = m
-            out[i] = np.partition(buf, k)[k]
-        return out
-
-    @njit(cache=True)
-    def _count_within_jit(pts, radii):  # pragma: no cover - compiled
-        n, d = pts.shape
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            eps = radii[i]
-            c = 0
-            for j in range(n):
-                if j == i:
-                    continue
-                m = 0.0
-                for r in range(d):
-                    v = abs(pts[i, r] - pts[j, r])
-                    if v > m:
-                        m = v
-                        if m >= eps:
-                            break
-                if m < eps:
-                    c += 1
-            out[i] = c
-        return out
-
-    def kth_neighbor_distance_numba(points, k):
-        return _kth_neighbor_distance_jit(_as_points(points), k)
-
-    def count_within_numba(points, radii):
-        return _count_within_jit(_as_points(points), np.ascontiguousarray(radii, dtype=np.float64))
-
-    kth_neighbor_distance = kth_neighbor_distance_numba
-    count_within = count_within_numba
-else:
-    kth_neighbor_distance_numba = None
-    count_within_numba = None
-    kth_neighbor_distance = kth_neighbor_distance_numpy
-    count_within = count_within_numpy

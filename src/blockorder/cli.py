@@ -116,11 +116,6 @@ def _cmd_fit(args) -> int:
     data = read_csv_matrix(args.input)
     cfg = SearchConfig(delta=delta, mi=MiConfig(kneig) if kneig is not None else None)
     if args.mode == "exact":
-        if data.n_variables > cfg.max_exact_p:
-            raise SearchTooLargeError(
-                f"{data.n_variables} variables exceed the exact-mode limit "
-                f"({cfg.max_exact_p}); rerun with --mode large"
-            )
         model, trace = fit(data, cfg)
     else:
         model, trace = fit_large(data, args.h, args.subsets, cfg, args.seed)

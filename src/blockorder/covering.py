@@ -13,34 +13,38 @@ variable set hides nothing, so it stays unconstrained and is the exact
 search.
 
 Each run's block ordering also turns into pairwise precedence facts that are
-merged globally.  When accumulated pairs form a directed cycle (possible
-under sampling noise), the whole cycle collapses into one merged group;
-``build_block_order`` sorts the condensation topologically, with
-incomparable nodes ordered by smallest member index.  Variables a subset run
-leaves in one block simply contribute no facts (merging them would overstate
-confounding).
+merged globally.  The bookkeeping is one boolean reachability matrix over
+the variables the facts touch, with each merged group entered as a cycle
+and the closure taken by repeated squaring.  Mutually reachable variables
+form one merged group, so a directed cycle among accumulated pairs
+(possible under sampling noise) collapses into a group; the pairs reachable
+in one direction only are the transitive closure.  ``build_block_order``
+sorts the condensation topologically, with incomparable nodes ordered by
+smallest member index.  Variables a subset run leaves in one block simply
+contribute no facts (merging them would overstate confounding).
 
-Since precedence is transitive, each run is constrained by the transitive
-closure of everything accumulated so far: a candidate S that would reverse
-any established order, even indirectly, is never scored.  Under that rule a
-run's output is always a linear extension of the known relation, so subset
-runs cannot create cycles; the merge machinery still guards callers that
-feed independently collected pair batches.
+Since precedence is transitive, each run is constrained by the part of the
+closure of everything accumulated so far that lies inside its subset: a
+candidate S that would reverse any established order, even indirectly, is
+never scored.  Under that rule a run's output is always a linear extension
+of the known relation, so subset runs cannot create cycles; the merge
+machinery still guards callers that feed independently collected pair
+batches.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import DataMatrix
-from .model import BlockOrdering, ChainGraphModel
-from .search import ScoreRecord, SearchConfig, _noise_std_from_within, group_search
-from .strengths import estimate_strengths
+from .model import BlockOrdering
+from .search import ScoreRecord, SearchConfig, group_search
+from .strengths import assemble_model
 
 
 @dataclass(frozen=True)
@@ -92,82 +96,36 @@ class PairOrderList:
         return cls(frozenset(), ())
 
 
-def _tarjan_scc(nodes, adjacency):
-    """Strongly connected components, iterative Tarjan."""
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list[tuple] = []
-    counter = 0
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adjacency.get(root, ())))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, children = work[-1]
-            advanced = False
-            for child in children:
-                if child not in index:
-                    index[child] = low[child] = counter
-                    counter += 1
-                    stack.append(child)
-                    on_stack.add(child)
-                    work.append((child, iter(adjacency.get(child, ()))))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    low[node] = min(low[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                components.append(tuple(comp))
-    return components
+def _reachability(pairs, groups) -> tuple[np.ndarray, np.ndarray]:
+    """Variables touched by ``pairs`` and ``groups``, and which reaches which.
 
-
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def add(self, v: int):
-        self.parent.setdefault(v, v)
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # deterministic: smaller index becomes the root
-            if rb < ra:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
+    Returns ``(nodes, reach)``: ``nodes`` sorted, and ``reach[i, j]`` True
+    when ``nodes[i]`` reaches ``nodes[j]`` along the pairs, with each group
+    entered as a cycle through its members; every node reaches itself.
+    """
+    heads = [a for a, _ in pairs]
+    tails = [b for _, b in pairs]
+    for group in groups:
+        heads.extend(group)
+        tails.extend(group[1:] + group[:1])
+    nodes = np.unique(np.array(heads + tails, dtype=np.int64))
+    reach = np.eye(len(nodes), dtype=bool)
+    reach[np.searchsorted(nodes, heads), np.searchsorted(nodes, tails)] = True
+    # each squaring doubles the path length covered; the 0/1 products sum
+    # to exact small integers in float64
+    while True:
+        step = reach.astype(np.float64)
+        wider = step @ step > 0.0
+        if np.array_equal(wider, reach):
+            return nodes, reach
+        reach = wider
 
 
 def merge_orders(k: PairOrderList, new_pairs) -> PairOrderList:
     """Union old and new pairs; collapse any directed cycle into a group.
 
-    Pairs internal to a group leave the precedence relation but the group
+    The groups are the classes of mutually reachable variables.  Pairs
+    internal to a group leave the precedence relation but the group
     membership is kept.  The result depends only on the union of all pairs
     ever merged, not on the batch order.
     """
@@ -177,75 +135,23 @@ def merge_orders(k: PairOrderList, new_pairs) -> PairOrderList:
         if a == b:
             raise InvalidInputError(f"self-pair ({a}, {a}) is not a valid precedence")
         pairs.add((a, b))
-
-    uf = _UnionFind()
-    for group in k.groups:
-        for member in group:
-            uf.add(member)
-        first = group[0]
-        for member in group[1:]:
-            uf.union(first, member)
-    for a, b in pairs:
-        uf.add(a)
-        uf.add(b)
-
-    adjacency: dict[int, list[int]] = {}
-    nodes = sorted({uf.find(v) for v in uf.parent})
-    for a, b in sorted(pairs):
-        ra, rb = uf.find(a), uf.find(b)
-        if ra != rb:
-            adjacency.setdefault(ra, []).append(rb)
-    for comp in _tarjan_scc(nodes, adjacency):
-        if len(comp) > 1:
-            first = comp[0]
-            for member in comp[1:]:
-                uf.union(first, member)
-
-    by_root: dict[int, list[int]] = {}
-    for v in uf.parent:
-        by_root.setdefault(uf.find(v), []).append(v)
-    groups = tuple(
-        tuple(sorted(members))
-        for _, members in sorted(by_root.items())
-        if len(members) > 1
-    )
-    kept = frozenset((a, b) for a, b in pairs if uf.find(a) != uf.find(b))
-    return PairOrderList(kept, groups)
+    nodes, reach = _reachability(pairs, k.groups)
+    mutual = reach & reach.T
+    groups = tuple(sorted({tuple(nodes[row].tolist()) for row in mutual[mutual.sum(axis=1) > 1]}))
+    internal = {(a, b) for group in groups for a in group for b in group}
+    return PairOrderList(frozenset(pairs - internal), groups)
 
 
 def implied_constraints(k: PairOrderList) -> frozenset[tuple[int, int]]:
     """Transitive closure of the precedence relation, expanded through groups.
 
-    Every pair (a, b) such that a's group reaches b's group through recorded
-    pairs; these are the orders a later subset run must not reverse.
+    Every pair (a, b) such that a reaches b through recorded pairs and group
+    memberships while b does not reach a; these are the orders a later
+    subset run must not reverse.
     """
-    rep: dict[int, int] = {}
-    members: dict[int, tuple[int, ...]] = {}
-    for group in k.groups:
-        for v in group:
-            rep[v] = group[0]
-        members[group[0]] = group
-    successors: dict[int, set[int]] = {}
-    for a, b in k.pairs:
-        ra = rep.get(a, a)
-        rb = rep.get(b, b)
-        if ra != rb:
-            successors.setdefault(ra, set()).add(rb)
-    out: set[tuple[int, int]] = set()
-    for start in successors:
-        reached: set[int] = set()
-        stack = list(successors[start])
-        while stack:
-            node = stack.pop()
-            if node in reached:
-                continue
-            reached.add(node)
-            stack.extend(successors.get(node, ()))
-        for target in reached:
-            for a in members.get(start, (start,)):
-                for b in members.get(target, (target,)):
-                    out.add((a, b))
-    return frozenset(out)
+    nodes, reach = _reachability(k.pairs, k.groups)
+    rows, cols = np.nonzero(reach & ~reach.T)
+    return frozenset(zip(nodes[rows].tolist(), nodes[cols].tolist()))
 
 
 def extract_pairs(ordering: BlockOrdering) -> list[tuple[int, int]]:
@@ -299,7 +205,7 @@ def build_block_order(k: PairOrderList, p: int) -> BlockOrdering:
             if indegree[succ] == 0:
                 heapq.heappush(ready, (blocks[succ][0], succ))
     if len(ordered) != len(blocks):
-        raise RuntimeError("precedence relation still cyclic after merging")
+        raise InvalidInputError("precedence relation is cyclic; collapse cycles with merge_orders")
     return BlockOrdering(tuple(ordered))
 
 
@@ -389,9 +295,11 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
     into contiguous blocks where some run kept two neighbours together.
     With h == p every subset is the whole variable set, hiding nothing, so
     each run is the unconstrained exact search and the last run's ordering
-    is the result.  Subset
-    runs are sequential: each one is also pruned by the transitive closure
-    of the precedence pairs accumulated so far.  Returns ``(model, trace)``.
+    is the result.  Subset runs are sequential: each one is also pruned by
+    the pairs of its subset in the transitive closure of the precedence pairs
+    accumulated so far (the search ignores pairs that leave the subset).
+    Both cases build the model with ``assemble_model``.  Returns
+    ``(model, trace)``.
     """
     cfg = cfg or SearchConfig()
     p = data.n_variables
@@ -407,14 +315,12 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
     accumulated = PairOrderList.empty()
     runs: list[BlockOrdering] = []
     for subset in cover.subsets:
-        constraints = implied_constraints(accumulated)
+        closure = implied_constraints(accumulated)
+        constraints = {pair for pair in permutations(subset, 2) if pair in closure}
         if order is not None:
-            constraints = constraints | set(combinations(sorted(subset, key=order.index), 2))
+            constraints |= set(combinations(sorted(subset, key=order.index), 2))
         ordering = group_search(data.restrict(subset), subset, cfg, constraints, trace)
         accumulated = merge_orders(accumulated, extract_pairs(ordering))
         runs.append(ordering)
     ordering = runs[-1] if order is None else _order_cut(order, runs)
-    b, within = estimate_strengths(data, ordering)
-    noise_std = _noise_std_from_within(ordering, within, p)
-    model = ChainGraphModel(b, ordering, noise_std, tuple(within))
-    return model, trace
+    return assemble_model(data, ordering), trace

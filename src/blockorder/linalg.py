@@ -39,6 +39,8 @@ class DataMatrix:
         if len(set(self.variable_ids)) != p:
             raise InvalidInputError("variable_ids must be distinct")
         scale = 1.0 + np.abs(values).max(axis=1)
+        if not np.all(np.isfinite(scale)):  # NaN would defeat the centering check
+            raise InvalidInputError("values must be finite (found NaN or inf)")
         if np.any(np.abs(values.mean(axis=1)) > 1e-8 * scale):
             raise InvalidInputError("rows must be centered; use center() on raw data")
 

@@ -12,15 +12,13 @@ out a singleton (full-ordering mode).
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, NamedTuple, Sequence
-
-import numpy as np
+from typing import Collection, NamedTuple
 
 from .errors import InvalidInputError, SearchTooLargeError
 from .linalg import DataMatrix, residualize
 from .mi import MiConfig, default_k, mutual_information
-from .model import BlockOrdering, ChainGraphModel
-from .strengths import estimate_strengths
+from .model import BlockOrdering
+from .strengths import assemble_model
 
 DEFAULT_DELTA = 1e-2
 DEFAULT_MAX_EXACT_P = 15
@@ -160,17 +158,4 @@ def fit(data: DataMatrix, cfg: SearchConfig | None = None):
         )
     trace: list[ScoreRecord] = []
     ordering = group_search(data, data.variable_ids, cfg, (), trace)
-    b, within = estimate_strengths(data, ordering)
-    noise_std = _noise_std_from_within(ordering, within, p)
-    model = ChainGraphModel(b, ordering, noise_std, tuple(within))
-    return model, trace
-
-
-def _noise_std_from_within(
-    ordering: BlockOrdering, within: Sequence[np.ndarray], p: int
-) -> np.ndarray:
-    noise = np.zeros(p)
-    for block, cov in zip(ordering.blocks, within):
-        for idx, var in enumerate(block):
-            noise[var] = math.sqrt(max(cov[idx, idx], 0.0))
-    return noise
+    return assemble_model(data, ordering), trace

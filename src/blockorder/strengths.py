@@ -4,14 +4,15 @@ Each variable is regressed by OLS on every variable in strictly earlier
 blocks (the ordering carries no sparsity information, so non-parents simply
 estimate near zero).  Within-block entries stay exactly zero; what the model
 cannot orient is reported instead as the covariance of each block's
-variables after the earlier blocks' effects are removed.
+variables after the earlier blocks' effects are removed.  Both search modes
+turn their ordering into a model through ``assemble_model``.
 """
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import DataMatrix, covariance, regress_on
-from .model import BlockOrdering
+from .model import BlockOrdering, ChainGraphModel
 
 
 def estimate_strengths(data: DataMatrix, ordering: BlockOrdering):
@@ -44,3 +45,17 @@ def estimate_strengths(data: DataMatrix, ordering: BlockOrdering):
             within.append(covariance(data.restrict(members)))
         predecessors.extend(members)
     return b, within
+
+
+def assemble_model(data: DataMatrix, ordering: BlockOrdering) -> ChainGraphModel:
+    """The fitted model for an ordering of the data's variables 0..p-1.
+
+    Strengths and per-block residual covariances come from
+    ``estimate_strengths``; each variable's noise scale is the square root of
+    its own residual variance in its block.
+    """
+    b, within = estimate_strengths(data, ordering)
+    noise_std = np.zeros(data.n_variables)
+    for block, cov in zip(ordering.blocks, within):
+        noise_std[list(block)] = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return ChainGraphModel(b, ordering, noise_std, tuple(within))

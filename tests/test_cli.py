@@ -163,6 +163,17 @@ class TestCsvReading:
         data = read_csv_matrix(path)
         assert data.values.shape == (2, 3)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_rejected(self, cell, tmp_path, capsys):
+        path = tmp_path / "holes.csv"
+        rows = [f"{v!r},{-v!r}" for v in np.random.default_rng(0).standard_normal(30)]
+        rows[7] = f"{cell},0.5"
+        path.write_text("x0,x1\n" + "\n".join(rows) + "\n")
+        assert run(["fit", "--input", path, "--output", tmp_path / "m.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockorder: error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unparseable_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,oops\n2,3\n")

@@ -155,6 +155,19 @@ class TestBuildBlockOrder:
             build_block_order(k, 3)
 
 
+def test_build_block_order_rejects_cyclic_relation():
+    with pytest.raises(InvalidInputError):
+        build_block_order(PairOrderList(frozenset({(0, 1), (1, 0)}), ()), 2)
+
+
+def test_cycle_through_a_group_joins_it():
+    k = merge_orders(PairOrderList.empty(), [(0, 1), (1, 0)])
+    k = merge_orders(k, [(1, 2), (2, 0), (2, 3)])
+    assert k.groups == ((0, 1, 2),)
+    assert k.pairs == frozenset({(2, 3)})
+    assert implied_constraints(k) == frozenset({(0, 3), (1, 3), (2, 3)})
+
+
 class TestGlobalOrder:
     def test_recovers_chain(self):
         assert global_order(power_chain()) == (0, 1, 2, 3)

@@ -1,11 +1,8 @@
 """Tests for the k-nearest-neighbor mutual information estimator."""
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from blockorder import DegenerateInputError, InvalidInputError, MiConfig, default_k, mutual_information
 from blockorder import _kernels
@@ -112,36 +109,34 @@ class TestInvariances:
         assert np.isfinite(mi)
 
 
-def test_env_flag_forces_numpy_path():
-    proc = subprocess.run(
-        [sys.executable, "-c", "from blockorder import _kernels; print(_kernels.HAS_NUMBA)"],
-        env={**os.environ, "BLOCKORDER_DISABLE_NUMBA": "1"},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.stdout.strip() == "False"
+def _brute_force(pts, k, radii):
+    """k-th neighbor distances and strict counts from the full distance matrix."""
+    dist = cdist(pts, pts, "chebyshev")
+    inside = dist < radii[:, None]
+    # self is counted only where it is strictly inside, as with a radius of 0
+    return np.sort(dist, axis=1)[:, k], inside.sum(axis=1) - np.diag(inside)
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba path not active")
-class TestKernelPathsAgree:
-    def test_kth_distance_bit_identical(self):
-        pts = np.random.default_rng(1).standard_normal((300, 3))
-        a = _kernels.kth_neighbor_distance_numba(pts, 7)
-        b = _kernels.kth_neighbor_distance_numpy(pts, 7)
-        assert np.array_equal(a, b)
-
-    def test_counts_bit_identical(self):
-        rng = np.random.default_rng(2)
-        pts = rng.standard_normal((300, 2))
-        radii = np.abs(rng.standard_normal(300)) + 0.05
-        a = _kernels.count_within_numba(pts, radii)
-        b = _kernels.count_within_numpy(pts, radii)
-        assert np.array_equal(a, b)
-
-    def test_counts_with_discrete_ties(self):
-        rng = np.random.default_rng(3)
-        pts = rng.integers(0, 3, size=(120, 2)).astype(float)
-        radii = np.full(120, 1.0)
-        a = _kernels.count_within_numba(pts, radii)
-        b = _kernels.count_within_numpy(pts, radii)
-        assert np.array_equal(a, b)
+class TestKernelsAgainstBruteForce:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    def test_bit_identical(self, d, ties, chunk_rows, monkeypatch):
+        n, k = 97, 5
+        rng = np.random.default_rng(100 * d + ties)
+        if ties:
+            # integer grid points, repeated so that some radii are 0 and
+            # some distances equal a radius exactly, among continuous points
+            grid = rng.integers(0, 3, size=(6, d)).astype(float)[rng.integers(0, 6, 60)]
+            pts = np.vstack([grid, rng.standard_normal((n - 60, d))])
+        else:
+            pts = rng.standard_normal((n, d))
+        if chunk_rows is not None:
+            # a few rows per chunk, so chunk boundaries fall inside the data
+            monkeypatch.setattr(_kernels, "_CHUNK_FLOATS", chunk_rows * n)
+        radii = _kernels.kth_neighbor_distance(pts, k)
+        kth, counts = _brute_force(pts, k, radii)
+        assert np.array_equal(radii, kth)
+        assert np.array_equal(_kernels.count_within(pts, radii), counts)
+        if ties:
+            assert np.any(radii == 0.0) and np.any(radii > 0.0)
