@@ -84,7 +84,13 @@ def read_csv_matrix(path) -> DataMatrix:
         raise InvalidInputError(f"{path}: could not parse CSV: {exc}") from exc
     if table.shape[0] < 2:
         raise InvalidInputError(f"{path}: need at least 2 samples")
-    return center(table.T)
+    data = center(table.T)  # rejects NaN and inf first
+    constant = np.flatnonzero((table == table[0]).all(axis=0))
+    if constant.size:
+        raise InvalidInputError(
+            f"{path}: constant column for variable(s) {constant.tolist()}; every variable needs nonzero variance"
+        )
+    return data
 
 
 def write_csv_matrix(path, data: DataMatrix) -> None:

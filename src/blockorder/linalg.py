@@ -29,15 +29,7 @@ class DataMatrix:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "variable_ids", tuple(int(i) for i in self.variable_ids))
-        if values.ndim != 2:
-            raise InvalidInputError("values must be a 2-d (p, n) array")
-        p, n = values.shape
-        if p < 1 or n < 2:
-            raise InvalidInputError(f"need p >= 1 and n >= 2, got shape {values.shape}")
-        if len(self.variable_ids) != p:
-            raise InvalidInputError("variable_ids length must match the row count")
-        if len(set(self.variable_ids)) != p:
-            raise InvalidInputError("variable_ids must be distinct")
+        _check_layout(values, self.variable_ids)
         scale = 1.0 + np.abs(values).max(axis=1)
         if not np.all(np.isfinite(scale)):  # NaN would defeat the centering check
             raise InvalidInputError("values must be finite (found NaN or inf)")
@@ -59,8 +51,25 @@ class DataMatrix:
         missing = [i for i in wanted if i not in pos]
         if missing:
             raise InvalidInputError(f"unknown variable ids: {missing}")
-        rows = [pos[i] for i in wanted]
-        return DataMatrix(self.values[rows], wanted)
+        values = self.values[[pos[i] for i in wanted]]
+        _check_layout(values, wanted)
+        # rows of a validated matrix are finite and centered already
+        sub = object.__new__(DataMatrix)
+        object.__setattr__(sub, "values", values)
+        object.__setattr__(sub, "variable_ids", wanted)
+        return sub
+
+
+def _check_layout(values: np.ndarray, variable_ids: tuple[int, ...]) -> None:
+    if values.ndim != 2:
+        raise InvalidInputError("values must be a 2-d (p, n) array")
+    p, n = values.shape
+    if p < 1 or n < 2:
+        raise InvalidInputError(f"need p >= 1 and n >= 2, got shape {values.shape}")
+    if len(variable_ids) != p:
+        raise InvalidInputError("variable_ids length must match the row count")
+    if len(set(variable_ids)) != p:
+        raise InvalidInputError("variable_ids must be distinct")
 
 
 @dataclass(frozen=True, eq=False)

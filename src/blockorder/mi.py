@@ -100,9 +100,9 @@ def mutual_information(x, y, cfg: MiConfig) -> float:
     jittered = scaled + _tie_jitter(scaled)
 
     d_x = xm.shape[0]
-    eps = kth_neighbor_distance(np.ascontiguousarray(jittered.T), cfg.k)
-    n_x = count_within(np.ascontiguousarray(jittered[:d_x].T), eps)
-    n_y = count_within(np.ascontiguousarray(jittered[d_x:].T), eps)
+    eps = kth_neighbor_distance(jittered.T, cfg.k)
+    n_x = count_within(jittered[:d_x].T, eps)
+    n_y = count_within(jittered[d_x:].T, eps)
 
     # Summing in sorted order keeps the value bit-identical under any
     # permutation of the samples.

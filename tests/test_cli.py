@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from blockorder import DegenerateInputError
 from blockorder.cli import main, read_csv_matrix
 
 
@@ -144,16 +145,15 @@ class TestBenchmark:
 
 
 class TestEstimationFailure:
-    def test_constant_column_exits_one(self, tmp_path, capsys):
-        path = tmp_path / "flat.csv"
-        rng = np.random.default_rng(0)
-        with path.open("w") as handle:
-            handle.write("x0,x1\n")
-            for v in rng.standard_normal(60):
-                handle.write(f"1.0,{float(v)!r}\n")
-        code = run(["fit", "--input", path, "--output", tmp_path / "m.json"])
+    def test_estimation_error_exits_one(self, example_csv, tmp_path, capsys, monkeypatch):
+        def failing_fit(data, cfg):
+            raise DegenerateInputError("zero-variance coordinate in MI input")
+
+        monkeypatch.setattr("blockorder.cli.fit", failing_fit)
+        code = run(["fit", "--input", example_csv, "--output", tmp_path / "m.json"])
         assert code == 1
-        assert "estimation failed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("blockorder: estimation failed:") and len(err.strip().splitlines()) == 1
 
 
 class TestCsvReading:
@@ -172,6 +172,19 @@ class TestCsvReading:
         assert run(["fit", "--input", path, "--output", tmp_path / "m.json"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("blockorder: error:") and "finite" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_constant_column_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "flat.csv"
+        rng = np.random.default_rng(0)
+        with path.open("w") as handle:
+            handle.write("x0,x1\n")
+            for v in rng.standard_normal(60):
+                handle.write(f"1.0,{float(v)!r}\n")
+        code = run(["fit", "--input", path, "--output", tmp_path / "m.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("blockorder: error:") and "constant column for variable(s) [0]" in err
         assert len(err.strip().splitlines()) == 1
 
     def test_unparseable_csv(self, tmp_path):

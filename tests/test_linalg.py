@@ -92,6 +92,11 @@ class TestDataMatrix:
         assert sub.variable_ids == (3, 1)
         assert np.array_equal(sub.values[0], data.values[3])
 
+    def test_restrict_rejects_duplicate_ids(self):
+        data = center(np.random.default_rng(1).standard_normal((3, 10)))
+        with pytest.raises(InvalidInputError):
+            data.restrict((2, 2))
+
     def test_restrict_unknown_id(self):
         data = center(np.random.default_rng(1).standard_normal((2, 10)))
         with pytest.raises(InvalidInputError):

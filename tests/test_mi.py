@@ -1,5 +1,11 @@
 """Tests for the k-nearest-neighbor mutual information estimator."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -140,3 +146,27 @@ class TestKernelsAgainstBruteForce:
         assert np.array_equal(_kernels.count_within(pts, radii), counts)
         if ties:
             assert np.any(radii == 0.0) and np.any(radii > 0.0)
+
+    def test_scratch_memory_is_bounded(self):
+        # the kernels work through cache-sized row blocks in reused buffers;
+        # a whole-matrix temporary at this size would be tens of MiB
+        pts = np.random.default_rng(12).standard_normal((3000, 4))
+        tracemalloc.start()
+        try:
+            radii = _kernels.kth_neighbor_distance(pts, 150)
+            _kernels.count_within(pts[:, :2], radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial costs several MiB resident; the kernels do without it
+    package_root = str(Path(_kernels.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    code = "import sys, blockorder; print('scipy.spatial' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
