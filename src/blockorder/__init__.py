@@ -35,7 +35,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .evaluate import median_errors, order_error_count, scatter_pairs
-from .linalg import CovarianceBlocks, DataMatrix, center, covariance, residualize
+from .linalg import DataMatrix, center, covariance, residualize
 from .mi import MiConfig, default_k, mutual_information
 from .model import (
     BlockOrdering,
@@ -65,7 +65,6 @@ __all__ = [
     "BlockOrderError",
     "BlockOrdering",
     "ChainGraphModel",
-    "CovarianceBlocks",
     "Covering",
     "DataMatrix",
     "DegenerateInputError",

@@ -8,9 +8,8 @@ with the pairwise entropy-approximation measure of Hyvarinen & Smith (JMLR
 size h, each constrained by that order, and only decides which neighbours in
 the order share a block.  The order comes from the full data because a
 small margin of a dense graph hides common causes: precedence facts read
-off margins alone are often wrong.  A run whose subset is the whole
-variable set hides nothing, so it stays unconstrained and is the exact
-search.
+off margins alone are often wrong.  With h equal to p a subset hides
+nothing, so ``fit_large`` is then the exact search ``fit`` itself.
 
 Each run's block ordering also turns into pairwise precedence facts that are
 merged globally.  The bookkeeping is one boolean reachability matrix over
@@ -43,7 +42,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import DataMatrix
 from .model import BlockOrdering
-from .search import ScoreRecord, SearchConfig, group_search
+from .search import ScoreRecord, SearchConfig, fit, group_search
 from .strengths import assemble_model
 
 
@@ -290,37 +289,36 @@ def _order_cut(order: Sequence[int], runs: Iterable[BlockOrdering]) -> BlockOrde
 def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None = None, seed: int = 0):
     """Approximate estimate via a global order and exact search on a random covering.
 
-    With h < p the global causal order of all variables is computed first;
-    every subset run is constrained by it, and the result is that order cut
-    into contiguous blocks where some run kept two neighbours together.
-    With h == p every subset is the whole variable set, hiding nothing, so
-    each run is the unconstrained exact search and the last run's ordering
-    is the result.  Subset runs are sequential: each one is also pruned by
-    the pairs of its subset in the transitive closure of the precedence pairs
-    accumulated so far (the search ignores pairs that leave the subset).
-    Both cases build the model with ``assemble_model``.  Returns
-    ``(model, trace)``.
+    With h == p a subset hides nothing, so this is the exact search ``fit``
+    itself, model and trace alike.  With h < p the global causal order of
+    all variables is computed first; every subset run is constrained by it,
+    and the result is that order cut into contiguous blocks where some run
+    kept two neighbours together.  Subset runs are sequential: each one is
+    also pruned by the pairs of its subset in the transitive closure of the
+    precedence pairs accumulated so far.  Returns ``(model, trace)``.
     """
     cfg = cfg or SearchConfig()
     p = data.n_variables
     if set(data.variable_ids) != set(range(p)):
         raise InvalidInputError("fit_large expects a full matrix with variables 0..p-1")
-    if h > min(p, cfg.max_exact_p):
+    if not 2 <= h <= min(p, cfg.max_exact_p):
         raise InvalidInputError(
-            f"h={h} must not exceed min(p, max_exact_p) = {min(p, cfg.max_exact_p)}"
+            f"need 2 <= h <= min(p, max_exact_p) = {min(p, cfg.max_exact_p)}, got h={h}"
         )
+    if n_subsets < 1:
+        raise InvalidInputError("need at least one subset")
+    if h == p:
+        return fit(data, cfg)
     cover = random_covering(p, h, n_subsets, seed)
-    order = global_order(data) if h < p else None
+    order = global_order(data)
     trace: list[ScoreRecord] = []
     accumulated = PairOrderList.empty()
     runs: list[BlockOrdering] = []
     for subset in cover.subsets:
         closure = implied_constraints(accumulated)
         constraints = {pair for pair in permutations(subset, 2) if pair in closure}
-        if order is not None:
-            constraints |= set(combinations(sorted(subset, key=order.index), 2))
+        constraints |= set(combinations(sorted(subset, key=order.index), 2))
         ordering = group_search(data.restrict(subset), subset, cfg, constraints, trace)
         accumulated = merge_orders(accumulated, extract_pairs(ordering))
         runs.append(ordering)
-    ordering = runs[-1] if order is None else _order_cut(order, runs)
-    return assemble_model(data, ordering), trace
+    return assemble_model(data, _order_cut(order, runs)), trace

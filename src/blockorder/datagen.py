@@ -98,15 +98,7 @@ def _implied_within_cov(b: np.ndarray, blocks, noise_covs) -> tuple[np.ndarray, 
     return tuple(out)
 
 
-class _StructureDraw:
-    def __init__(self, blocks, b, noise_std, noise_covs):
-        self.blocks = blocks
-        self.b = b
-        self.noise_std = noise_std
-        self.noise_covs = noise_covs
-
-
-def _draw_structure(rng: np.random.Generator, p: int, singletons: bool) -> _StructureDraw:
+def _draw_model(rng: np.random.Generator, p: int, singletons: bool) -> ChainGraphModel:
     if singletons:
         m = p
     else:
@@ -161,45 +153,37 @@ def _draw_structure(rng: np.random.Generator, p: int, singletons: bool) -> _Stru
                 sigma_x = np.array([[var_own]])
             generated.append(v)
     noise_covs = tuple(np.diag(noise_std[list(block)] ** 2) for block in blocks)
-    return _StructureDraw(tuple(blocks), b, noise_std, noise_covs)
+    within = _implied_within_cov(b, blocks, noise_covs)
+    return ChainGraphModel(b, BlockOrdering(tuple(blocks)), noise_std, within)
 
 
 def random_chain_graph(p: int, seed: int) -> ChainGraphModel:
     """Random block-structured model with the documented parameter ranges."""
     if p < 1:
         raise InvalidInputError("need p >= 1")
-    draw = _draw_structure(np.random.default_rng(seed), p, singletons=False)
-    return ChainGraphModel(
-        draw.b,
-        BlockOrdering(draw.blocks),
-        draw.noise_std,
-        _implied_within_cov(draw.b, draw.blocks, draw.noise_covs),
-    )
+    return _draw_model(np.random.default_rng(seed), p, singletons=False)
 
 
-def _draw_noise(rng: np.random.Generator, draw: _StructureDraw, n: int) -> np.ndarray:
-    p = len(draw.noise_std)
-    e = np.empty((p, n))
-    for block in draw.blocks:
+def _draw_noise(rng: np.random.Generator, model: ChainGraphModel, n: int) -> np.ndarray:
+    e = np.empty((len(model.noise_std), n))
+    for block in model.ordering.blocks:
         for v in block:
-            e[v] = draw.noise_std[v] * _power_noise(rng, n, _draw_exponent(rng))
+            e[v] = model.noise_std[v] * _power_noise(rng, n, _draw_exponent(rng))
     return e
 
 
-def _permute_model(rng, x: np.ndarray, draw: _StructureDraw):
+def _permute_model(rng, x: np.ndarray, model: ChainGraphModel):
     """Relabel variables by a random permutation; returns (x_new, model)."""
-    p = x.shape[0]
-    perm = rng.permutation(p)
+    perm = rng.permutation(x.shape[0])
     x_new = np.empty_like(x)
     x_new[perm] = x
-    b_new = np.zeros_like(draw.b)
-    b_new[np.ix_(perm, perm)] = draw.b
-    noise_new = np.empty_like(draw.noise_std)
-    noise_new[perm] = draw.noise_std
-    within = _implied_within_cov(draw.b, draw.blocks, draw.noise_covs)
+    b_new = np.zeros_like(model.b)
+    b_new[np.ix_(perm, perm)] = model.b
+    noise_new = np.empty_like(model.noise_std)
+    noise_new[perm] = model.noise_std
     blocks_new = []
     within_new = []
-    for block, cov in zip(draw.blocks, within):
+    for block, cov in zip(model.ordering.blocks, model.within_block_cov):
         mapped = perm[np.array(block)]
         order = np.argsort(mapped)
         blocks_new.append(tuple(int(v) for v in mapped[order]))
@@ -281,8 +265,8 @@ def generate_dataset(spec: GenSpec):
         e = _eq4_noise(rng, spec.n, loadings)
         x = mixing_from_adjacency(model.b) @ e
         return center(x), model
-    draw = _draw_structure(rng, spec.p, singletons=spec.mode == "dag")
-    e = _draw_noise(rng, draw, spec.n)
-    x = mixing_from_adjacency(draw.b) @ e
-    x_new, model = _permute_model(rng, x, draw)
+    model = _draw_model(rng, spec.p, singletons=spec.mode == "dag")
+    e = _draw_noise(rng, model, spec.n)
+    x = mixing_from_adjacency(model.b) @ e
+    x_new, model = _permute_model(rng, x, model)
     return center(x_new), model

@@ -5,15 +5,15 @@ the 1/n normalizer; regression coefficients are invariant to that choice.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 import scipy.linalg
 
 from .errors import InvalidInputError, SingularMatrixError
 
-# A covariance block is re-solved with a diagonal ridge only when its plain
-# condition number exceeds this; past it even after the ridge, we give up.
+# A covariance block is solved with a diagonal ridge only when its condition
+# number exceeds this.
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-8
 
@@ -72,15 +72,6 @@ def _check_layout(values: np.ndarray, variable_ids: tuple[int, ...]) -> None:
         raise InvalidInputError("variable_ids must be distinct")
 
 
-@dataclass(frozen=True, eq=False)
-class CovarianceBlocks:
-    """Covariance of (x_S, x_rest) partitioned into its three blocks."""
-
-    sigma_s: np.ndarray
-    sigma_s_rest: np.ndarray
-    sigma_rest: np.ndarray
-
-
 def center(raw) -> DataMatrix:
     """Subtract each row's mean; variables are numbered 0..p-1."""
     values = np.atleast_2d(np.asarray(raw, dtype=np.float64))
@@ -99,34 +90,28 @@ def covariance(data: DataMatrix) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
-def covariance_blocks(cov: np.ndarray, s_pos: Sequence[int], rest_pos: Sequence[int]) -> CovarianceBlocks:
-    s_pos = list(s_pos)
-    rest_pos = list(rest_pos)
-    return CovarianceBlocks(
-        sigma_s=cov[np.ix_(s_pos, s_pos)],
-        sigma_s_rest=cov[np.ix_(s_pos, rest_pos)],
-        sigma_rest=cov[np.ix_(rest_pos, rest_pos)],
-    )
-
-
 def _solve_spd(sigma_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve sigma_s @ B = rhs via Cholesky, ridging only ill-conditioned inputs."""
+    """Solve sigma_s @ B = rhs via Cholesky, ridging only ill-conditioned inputs.
+
+    A block whose condition number is not at most COND_LIMIT gets a ridge of
+    RIDGE_SCALE times its mean eigenvalue on the diagonal.  For an m-by-m
+    positive semidefinite block that caps the condition number near
+    ``1 + m / RIDGE_SCALE`` (the largest eigenvalue is at most the trace),
+    far below COND_LIMIT, so the condition is checked once.  A block that
+    still fails to factor, such as one with zero trace or with entries
+    that overflowed, raises SingularMatrixError.
+    """
     m = sigma_s.shape[0]
-    ridge_values = (0.0, RIDGE_SCALE * float(np.trace(sigma_s)) / m)
-    for ridge in ridge_values:
-        attempt = sigma_s if ridge == 0.0 else sigma_s + ridge * np.eye(m)
-        cond = np.linalg.cond(attempt)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            continue
-        try:
-            factor = scipy.linalg.cho_factor(attempt, lower=True)
-        except np.linalg.LinAlgError:
-            continue
-        return scipy.linalg.cho_solve(factor, rhs)
-    raise SingularMatrixError(
-        f"covariance block of size {m} has condition number above {COND_LIMIT:g} "
-        "even after diagonal regularization"
-    )
+    if not np.linalg.cond(sigma_s) <= COND_LIMIT:
+        ridge = RIDGE_SCALE * float(np.trace(sigma_s)) / m
+        sigma_s = sigma_s + ridge * np.eye(m)
+    try:
+        factor = scipy.linalg.cho_factor(sigma_s, lower=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN entries
+        raise SingularMatrixError(
+            f"covariance block of size {m} cannot be factored even after diagonal regularization"
+        ) from exc
+    return scipy.linalg.cho_solve(factor, rhs)
 
 
 def _split_positions(data: DataMatrix, subset: Iterable[int]):
@@ -153,8 +138,7 @@ def regress_on(data: DataMatrix, subset: Iterable[int]):
     """
     s_ids, s_pos, rest_ids, rest_pos = _split_positions(data, subset)
     cov = covariance(data)
-    blocks = covariance_blocks(cov, s_pos, rest_pos)
-    beta = _solve_spd(blocks.sigma_s, blocks.sigma_s_rest)  # (|S|, |rest|)
+    beta = _solve_spd(cov[np.ix_(s_pos, s_pos)], cov[np.ix_(s_pos, rest_pos)])  # (|S|, |rest|)
     resid = data.values[rest_pos] - beta.T @ data.values[s_pos]
     return beta.T, DataMatrix(resid, rest_ids)
 

@@ -1,10 +1,15 @@
 """Tests for the command-line interface and its file formats."""
 
+import contextlib
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blockorder import DegenerateInputError
 from blockorder.cli import main, read_csv_matrix
@@ -12,6 +17,20 @@ from blockorder.cli import main, read_csv_matrix
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_stderr(args):
+    """Run the CLI in-process; returns (exit code, stderr lines).
+
+    A warning counts as the line it would print on stderr, so the lines are
+    what a terminal would show.
+    """
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([str(a) for a in args])
+    shown = [f"{w.category.__name__}: {w.message}" for w in caught]
+    return code, err.getvalue().splitlines() + shown
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +206,34 @@ class TestCsvReading:
         assert err.startswith("blockorder: error:") and "constant column for variable(s) [0]" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("kind", ["not-utf8", "directory"])
+    def test_unreadable_input_exits_two(self, kind, tmp_path):
+        path = tmp_path / "in.csv"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"x0,x1\n\xff\xfe,1\n2,3\n")
+        code, lines = run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json"])
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("blockorder: error:")
+
+    def test_header_only_csv_is_one_line(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x0,x1\n")
+        code, lines = run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json"])
+        assert code == 2
+        assert lines == [f"blockorder: error: {path}: need at least 2 samples"]
+
+    def test_overflowing_scale_exits_two(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        rng = np.random.default_rng(1)
+        rows = [f"{1e200 * a!r},{b!r},{1e155 * c!r}" for a, b, c in rng.standard_normal((40, 3)).tolist()]
+        path.write_text("x0,x1,x2\n" + "\n".join(rows) + "\n")
+        code, lines = run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json"])
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("blockorder: error:")
+        assert "variable(s) [0, 2]" in lines[0]
+
     def test_unparseable_csv(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,oops\n2,3\n")
@@ -197,3 +244,72 @@ class TestCsvReading:
 
         assert _parse_delta("inf") == math.inf
         assert _parse_delta("0.25") == 0.25
+
+
+_CELLS = ["0", "1", "-2.5", "0.125", "3e-3", "7", "1e-300", "1e200", "-1e308",
+          "nan", "inf", "-inf", "", "x", "1;2"]
+
+
+@st.composite
+def csv_texts(draw):
+    """Small CSV files: p <= 4, n <= 40, with the defects a user file can have."""
+    p = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    values = draw(st.lists(st.lists(st.floats(-10, 10), min_size=p, max_size=p),
+                           min_size=n, max_size=n))
+    rows = [[repr(v) for v in row] for row in values]
+    for kind in draw(st.lists(st.sampled_from(["constant", "duplicate", "cell"]), max_size=3)):
+        col = draw(st.integers(0, p - 1))
+        if kind == "constant":
+            for row in rows:
+                row[col] = "1.5"
+        elif kind == "duplicate":
+            for row in rows:
+                row[col] = row[(col + 1) % p]
+        elif rows:
+            rows[draw(st.integers(0, n - 1))][col] = draw(st.sampled_from(_CELLS))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if rows else 0):  # ragged rows
+        i = draw(st.integers(0, n - 1))
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0.5"]
+    header = draw(st.sampled_from(["names", "names", "none", "short", "text", "blank", "bad-bytes"]))
+    lines = [",".join(row) for row in rows]
+    head = {
+        "names": ",".join(f"x{i}" for i in range(p)),
+        "short": "x0",
+        "text": "a b c",
+        "blank": "",
+    }.get(header)
+    body = "\n".join(([head] if head is not None else []) + lines)
+    if draw(st.booleans()):
+        body += "\n"
+    data = body.encode("utf-8")
+    return b"\xff" + data if header == "bad-bytes" else data
+
+
+class TestCliContract:
+    """Every fit ends in exit 0, 1 or 2, with a one-line message on failure."""
+
+    # valid flag values are repeated so that most examples reach the fit
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        text=csv_texts(),
+        delta=st.sampled_from(["0.01", "0.01", "0", "inf", "Infinity", "1e9", "-1", "nan", "abc"]),
+        kneig=st.sampled_from(["auto", "auto", "auto", "auto", "1", "3", "0", "100", "k"]),
+        mode=st.sampled_from(["exact", "large"]),
+        h=st.integers(1, 4),
+        subsets=st.integers(0, 3),
+    )
+    def test_fit_contract(self, tmp_path, text, delta, kneig, mode, h, subsets):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text)
+        code, lines = run_stderr([
+            "fit", "--input", path, "--output", tmp_path / "m.json", f"--delta={delta}",
+            f"--kneig={kneig}", "--mode", mode, f"--h={h}", f"--subsets={subsets}",
+        ])
+        assert code in (0, 1, 2)
+        assert not any("Traceback" in line for line in lines)
+        if code == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1 and lines[0].startswith("blockorder: "), lines

@@ -16,6 +16,7 @@ from blockorder import (
     build_block_order,
     center,
     extract_pairs,
+    fit,
     fit_large,
     generate_dataset,
     group_search,
@@ -203,6 +204,17 @@ class TestFitLarge:
         exact = group_search(data, data.variable_ids, cfg)
         large, _ = fit_large(data, h=4, n_subsets=1, cfg=cfg, seed=0)
         assert large.ordering.blocks == exact.blocks
+
+    def test_full_size_subsets_are_the_exact_search(self):
+        data, _ = generate_dataset(GenSpec(p=4, n=300, seed=11, mode="dag"))
+        cfg = SearchConfig(delta=0.05)
+        exact, exact_trace = fit(data, cfg)
+        large, large_trace = fit_large(data, h=4, n_subsets=3, cfg=cfg, seed=0)
+        assert large.ordering == exact.ordering
+        assert np.array_equal(large.b, exact.b)
+        assert large_trace == exact_trace
+        with pytest.raises(InvalidInputError):
+            fit_large(data, h=4, n_subsets=0, cfg=cfg, seed=0)
 
     def test_pairwise_runs_reconstruct_total_order(self):
         data = power_chain()

@@ -11,7 +11,7 @@ from blockorder import (
     covariance,
     residualize,
 )
-from blockorder.linalg import covariance_blocks, regress_on
+from blockorder.linalg import regress_on
 
 
 def naive_covariance(x):
@@ -163,10 +163,7 @@ class TestResidualize:
         rng = np.random.default_rng(8)
         data = center(rng.standard_normal((5, 400)))
         cov = covariance(data)
-        blocks = covariance_blocks(cov, [0, 1], [2, 3, 4])
-        schur = blocks.sigma_rest - blocks.sigma_s_rest.T @ np.linalg.solve(
-            blocks.sigma_s, blocks.sigma_s_rest
-        )
+        schur = cov[2:, 2:] - cov[:2, 2:].T @ np.linalg.solve(cov[:2, :2], cov[:2, 2:])
         resid_cov = covariance(residualize(data, (0, 1)))
         assert np.abs(resid_cov - schur).max() < 1e-8
 
@@ -181,6 +178,12 @@ class TestResidualize:
         rows = np.vstack([np.zeros(20), center(rng.standard_normal((1, 20))).values])
         data = DataMatrix(rows, (0, 1))
         with pytest.raises(SingularMatrixError):
+            residualize(data, (0,))
+
+    def test_overflowing_covariance_raises_singularity(self):
+        rows = center(np.random.default_rng(9).standard_normal((2, 20))).values
+        data = DataMatrix(rows * np.array([[1e200], [1.0]]), (0, 1))
+        with np.errstate(over="ignore"), pytest.raises(SingularMatrixError):
             residualize(data, (0,))
 
     def test_duplicated_predictor_survives_via_ridge(self):
