@@ -25,9 +25,8 @@ from .datagen import GenSpec, derive_seed, generate_dataset
 from .errors import BlockOrderError, InvalidInputError, SearchTooLargeError
 from .evaluate import order_error_count, scatter_pairs
 from .linalg import DataMatrix, center
-from .mi import MiConfig
 from .model import write_model_json
-from .search import SearchConfig, fit
+from .search import MAX_EXACT_P, SearchConfig, fit
 
 _CLI_MODES = {"chain": "chain_graph", "dag": "dag", "eq4": "eq4_example"}
 
@@ -127,7 +126,7 @@ def _cmd_fit(args) -> int:
     delta = _parse_delta(args.delta)
     kneig = _parse_kneig(args.kneig)
     data = read_csv_matrix(args.input)
-    cfg = SearchConfig(delta=delta, mi=MiConfig(kneig) if kneig is not None else None)
+    cfg = SearchConfig(delta=delta, k=kneig)
     if args.mode == "exact":
         model, trace = fit(data, cfg)
     else:
@@ -183,7 +182,7 @@ def _cmd_benchmark(args) -> int:
         spec = GenSpec(p=args.p, n=args.n, seed=data_seed, mode=mode)
         data, truth = generate_dataset(spec)
         start = time.perf_counter()
-        if args.p <= cfg.max_exact_p:
+        if args.p <= MAX_EXACT_P:
             model, _ = fit(data, cfg)
         else:
             model, _ = fit_large(data, args.h, args.subsets, cfg, fit_seed)

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import DataMatrix
 from .model import BlockOrdering
-from .search import ScoreRecord, SearchConfig, fit, group_search
+from .search import MAX_EXACT_P, ScoreRecord, SearchConfig, fit, group_search
 from .strengths import assemble_model
 
 
@@ -301,10 +301,8 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
     p = data.n_variables
     if set(data.variable_ids) != set(range(p)):
         raise InvalidInputError("fit_large expects a full matrix with variables 0..p-1")
-    if not 2 <= h <= min(p, cfg.max_exact_p):
-        raise InvalidInputError(
-            f"need 2 <= h <= min(p, max_exact_p) = {min(p, cfg.max_exact_p)}, got h={h}"
-        )
+    if not 2 <= h <= min(p, MAX_EXACT_P):
+        raise InvalidInputError(f"need 2 <= h <= min(p, MAX_EXACT_P) = {min(p, MAX_EXACT_P)}, got h={h}")
     if n_subsets < 1:
         raise InvalidInputError("need at least one subset")
     if h == p:

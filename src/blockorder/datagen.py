@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import center
-from .model import BlockOrdering, ChainGraphModel, mixing_from_adjacency
+from .linalg import DataMatrix
+from .model import BlockOrdering, ChainGraphModel, simulate
 
 MODES = ("chain_graph", "dag", "eq4_example")
 
@@ -76,15 +76,6 @@ def _power_noise(rng: np.random.Generator, n: int, q: float) -> np.ndarray:
     e = np.sign(z) * np.abs(z) ** q
     e = e - e.mean()
     return e / e.std()
-
-
-def sample_nongaussian(n: int, q: float, seed: int) -> np.ndarray:
-    """Power-transformed Gaussian sample, standardized to mean 0 and variance 1."""
-    if n < 2:
-        raise InvalidInputError("need n >= 2")
-    if q <= 0:
-        raise InvalidInputError("exponent must be positive")
-    return _power_noise(np.random.default_rng(seed), n, q)
 
 
 def _implied_within_cov(b: np.ndarray, blocks, noise_covs) -> tuple[np.ndarray, ...]:
@@ -262,11 +253,8 @@ def generate_dataset(spec: GenSpec):
     rng = np.random.default_rng(spec.seed)
     if spec.mode == "eq4_example":
         model, loadings = confounded_example_model()
-        e = _eq4_noise(rng, spec.n, loadings)
-        x = mixing_from_adjacency(model.b) @ e
-        return center(x), model
+        return simulate(model, _eq4_noise(rng, spec.n, loadings)), model
     model = _draw_model(rng, spec.p, singletons=spec.mode == "dag")
-    e = _draw_noise(rng, model, spec.n)
-    x = mixing_from_adjacency(model.b) @ e
-    x_new, model = _permute_model(rng, x, model)
-    return center(x_new), model
+    x = simulate(model, _draw_noise(rng, model, spec.n))
+    x_new, model = _permute_model(rng, x.values, model)
+    return DataMatrix(x_new, x.variable_ids), model

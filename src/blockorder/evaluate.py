@@ -33,11 +33,3 @@ def scatter_pairs(true_model: ChainGraphModel, estimated_model: ChainGraphModel)
         for j in range(p)
         if i != j
     ]
-
-
-def median_errors(trials) -> float:
-    """Standard median; the mean of the middle two for even lengths."""
-    values = list(trials)
-    if not values:
-        raise InvalidInputError("need at least one trial")
-    return float(np.median(np.asarray(values, dtype=np.float64)))

@@ -14,8 +14,6 @@ under sample reordering, coordinate reordering, and swapping the two
 arguments.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import digamma
 
@@ -25,26 +23,6 @@ from .errors import DegenerateInputError, InvalidInputError
 TIE_JITTER_SCALE = 1e-10
 
 _SALT = np.uint64(0x5851F42D4C957F2D)
-
-
-@dataclass(frozen=True)
-class MiConfig:
-    """Neighbor count for the estimator; distances are always max-norm."""
-
-    k: int
-
-    def __post_init__(self):
-        if int(self.k) < 1:
-            raise InvalidInputError(f"neighbor count must be >= 1, got {self.k}")
-        object.__setattr__(self, "k", int(self.k))
-
-
-def default_k(n: int) -> int:
-    """Neighbor count rule used throughout: 5% of the sample size.
-
-    Clamped to [1, n-1].
-    """
-    return int(min(max(1, round(0.05 * n)), n - 1))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
@@ -71,14 +49,18 @@ def _tie_jitter(z: np.ndarray) -> np.ndarray:
     return (2.0 * unit - 1.0) * TIE_JITTER_SCALE
 
 
-def mutual_information(x, y, cfg: MiConfig) -> float:
+def mutual_information(x, y, k: int) -> float:
     """Estimated MI in nats between two sample blocks of shape (d, n).
 
-    1-d inputs are treated as single-row blocks.  Raises if the sample
-    counts differ, if ``n <= cfg.k``, or if any coordinate has zero
+    1-d inputs are treated as single-row blocks; ``k`` is the neighbor
+    count, and distances are always max-norm.  Raises if ``k < 1``, if the
+    sample counts differ, if ``n <= k``, or if any coordinate has zero
     variance.  Estimates may be slightly negative; callers compare them to
     a threshold as-is.
     """
+    k = int(k)
+    if k < 1:
+        raise InvalidInputError(f"neighbor count must be >= 1, got {k}")
     xm = np.atleast_2d(np.asarray(x, dtype=np.float64))
     ym = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if xm.ndim != 2 or ym.ndim != 2:
@@ -88,8 +70,8 @@ def mutual_information(x, y, cfg: MiConfig) -> float:
             f"sample counts differ: {xm.shape[1]} vs {ym.shape[1]}"
         )
     n = xm.shape[1]
-    if n <= cfg.k:
-        raise InvalidInputError(f"need more than k={cfg.k} samples, got {n}")
+    if n <= k:
+        raise InvalidInputError(f"need more than k={k} samples, got {n}")
     joint = np.vstack((xm, ym))
     if not np.all(np.isfinite(joint)):
         raise InvalidInputError("inputs must be finite")
@@ -100,7 +82,7 @@ def mutual_information(x, y, cfg: MiConfig) -> float:
     jittered = scaled + _tie_jitter(scaled)
 
     d_x = xm.shape[0]
-    eps = kth_neighbor_distance(jittered.T, cfg.k)
+    eps = kth_neighbor_distance(jittered.T, k)
     n_x = count_within(jittered[:d_x].T, eps)
     n_y = count_within(jittered[d_x:].T, eps)
 
@@ -108,4 +90,4 @@ def mutual_information(x, y, cfg: MiConfig) -> float:
     # permutation of the samples.
     per_sample = digamma(n_x + 1.0) + digamma(n_y + 1.0)
     mean_term = float(np.sort(per_sample).sum()) / n
-    return float(digamma(cfg.k) + digamma(n) - mean_term)
+    return float(digamma(k) + digamma(n) - mean_term)

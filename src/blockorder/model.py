@@ -167,8 +167,12 @@ def model_from_dict(data: dict) -> ChainGraphModel:
     within = None
     if data.get("within_block_cov"):
         entries = sorted(data["within_block_cov"], key=lambda item: item["block"])
-        if [item["block"] for item in entries] == list(range(len(ordering.blocks))):
-            within = tuple(np.asarray(item["cov"], dtype=np.float64) for item in entries)
+        indices = [item["block"] for item in entries]
+        if indices != list(range(len(ordering.blocks))):
+            raise InvalidInputError(
+                f"within_block_cov block indices {indices} must be exactly 0..{len(ordering.blocks) - 1}"
+            )
+        within = tuple(np.asarray(item["cov"], dtype=np.float64) for item in entries)
     return ChainGraphModel(
         b=np.asarray(data["b"], dtype=np.float64),
         ordering=ordering,

@@ -16,28 +16,27 @@ from typing import Collection, NamedTuple
 
 from .errors import InvalidInputError, SearchTooLargeError
 from .linalg import DataMatrix, residualize
-from .mi import MiConfig, default_k, mutual_information
+from .mi import mutual_information
 from .model import BlockOrdering
 from .strengths import assemble_model
 
 DEFAULT_DELTA = 1e-2
-DEFAULT_MAX_EXACT_P = 15
+# Largest working set the exact search enumerates (2^p - 2 candidates).
+MAX_EXACT_P = 15
 
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Split threshold delta and MI neighbor count k (None: 5% of n)."""
+
     delta: float = DEFAULT_DELTA
-    mi: MiConfig | None = None  # None: default_k(n) at call time
-    max_exact_p: int = DEFAULT_MAX_EXACT_P
+    k: int | None = None
 
     def __post_init__(self):
         if math.isnan(self.delta) or self.delta < 0.0:
             raise InvalidInputError("delta must be >= 0 (or +inf)")
-        if self.max_exact_p < 1:
-            raise InvalidInputError("max_exact_p must be >= 1")
-
-    def mi_config(self, n: int) -> MiConfig:
-        return self.mi if self.mi is not None else MiConfig(default_k(n))
+        if self.k is not None and self.k < 1:
+            raise InvalidInputError(f"neighbor count must be >= 1, got {self.k}")
 
 
 class ScoreRecord(NamedTuple):
@@ -46,11 +45,11 @@ class ScoreRecord(NamedTuple):
     score: float
 
 
-def independence_score(data: DataMatrix, subset, mi: MiConfig) -> float:
+def independence_score(data: DataMatrix, subset, k: int) -> float:
     """MI between x_S and the residuals of the remaining variables on x_S."""
     s_ids = tuple(sorted(int(i) for i in subset))
     resid = residualize(data, s_ids)
-    return mutual_information(data.restrict(s_ids).values, resid.values, mi)
+    return mutual_information(data.restrict(s_ids).values, resid.values, k)
 
 
 def enumerate_candidates(
@@ -94,21 +93,23 @@ def find_most_exogenous(
 
     Ties go to the smallest subset, then lexicographic order (the
     enumeration order guarantees this).  Returns ``(None, inf)`` when the
-    constraints exclude every candidate.
+    constraints exclude every candidate.  More than ``MAX_EXACT_P``
+    variables raise ``SearchTooLargeError`` before any candidate is scored.
     """
     members = tuple(sorted(int(i) for i in u))
     if len(members) < 2:
         raise InvalidInputError("need at least 2 variables to search")
-    if len(members) > cfg.max_exact_p:
+    if len(members) > MAX_EXACT_P:
         raise SearchTooLargeError(
             f"exact search over {len(members)} variables exceeds the guard "
-            f"({cfg.max_exact_p}); use the covering-based large-graph mode"
+            f"({MAX_EXACT_P}); use the covering-based large-graph mode"
         )
-    mi_cfg = cfg.mi_config(data.n_samples)
+    n = data.n_samples
+    k = cfg.k if cfg.k is not None else min(max(1, round(0.05 * n)), n - 1)
     best_subset: tuple[int, ...] | None = None
     best_score = math.inf
     for candidate in enumerate_candidates(members, constraints):
-        score = independence_score(data, candidate, mi_cfg)
+        score = independence_score(data, candidate, k)
         if trace is not None:
             trace.append(ScoreRecord(level, candidate, score))
         if best_subset is None or score < best_score:
@@ -144,18 +145,12 @@ def group_search(
 def fit(data: DataMatrix, cfg: SearchConfig | None = None):
     """Full exact estimate: block ordering, strengths, residual covariances.
 
-    Returns ``(model, trace)``.  Refuses more variables than the exact-search
-    guard allows.
+    Returns ``(model, trace)``.  Refuses more than ``MAX_EXACT_P`` variables.
     """
     cfg = cfg or SearchConfig()
     p = data.n_variables
     if set(data.variable_ids) != set(range(p)):
         raise InvalidInputError("fit expects a full matrix with variables 0..p-1")
-    if p > cfg.max_exact_p:
-        raise SearchTooLargeError(
-            f"{p} variables exceed the exact-search guard ({cfg.max_exact_p}); "
-            "use the covering-based large-graph mode"
-        )
     trace: list[ScoreRecord] = []
     ordering = group_search(data, data.variable_ids, cfg, (), trace)
     return assemble_model(data, ordering), trace

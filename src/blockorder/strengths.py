@@ -10,7 +10,7 @@ turn their ordering into a model through ``assemble_model``.
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import DegenerateInputError, InvalidInputError
 from .linalg import DataMatrix, covariance, regress_on
 from .model import BlockOrdering, ChainGraphModel
 
@@ -52,10 +52,18 @@ def assemble_model(data: DataMatrix, ordering: BlockOrdering) -> ChainGraphModel
 
     Strengths and per-block residual covariances come from
     ``estimate_strengths``; each variable's noise scale is the square root of
-    its own residual variance in its block.
+    its own residual variance in its block.  A residual variance of exactly
+    zero (a variable that is an exact linear function of its predecessors)
+    raises ``DegenerateInputError``.
     """
     b, within = estimate_strengths(data, ordering)
     noise_std = np.zeros(data.n_variables)
     for block, cov in zip(ordering.blocks, within):
         noise_std[list(block)] = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    degenerate = np.flatnonzero(noise_std == 0.0)
+    if degenerate.size:
+        raise DegenerateInputError(
+            f"zero residual variance for variable(s) {degenerate.tolist()}: "
+            "exactly collinear with the variables ordered before them"
+        )
     return ChainGraphModel(b, ordering, noise_std, tuple(within))

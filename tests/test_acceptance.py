@@ -20,22 +20,19 @@ import blockorder
 from blockorder import (
     DataMatrix,
     GenSpec,
-    MiConfig,
     SearchConfig,
     center,
-    default_k,
     derive_seed,
     fit,
     fit_large,
     generate_dataset,
-    median_errors,
-    mixing_from_adjacency,
-    mutual_information,
     order_error_count,
     random_chain_graph,
-    residualize,
     scatter_pairs,
 )
+from blockorder.linalg import residualize
+from blockorder.mi import mutual_information
+from blockorder.model import mixing_from_adjacency
 
 from test_linalg import brute_force_residual
 
@@ -48,15 +45,15 @@ class TestCriterion1MiOracle:
     def test_gaussian_mi_oracle(self):
         start = time.perf_counter()
         n = 10_000
-        k = default_k(n)
+        k = round(0.05 * n)  # the search's default neighbor count
         rng = np.random.default_rng(0)
         z = rng.standard_normal((2, n))
         rho = 0.5
         dependent = mutual_information(
-            z[0], rho * z[0] + math.sqrt(1 - rho**2) * z[1], MiConfig(k)
+            z[0], rho * z[0] + math.sqrt(1 - rho**2) * z[1], k
         )
         independent = mutual_information(
-            rng.standard_normal(n), rng.standard_normal(n), MiConfig(k)
+            rng.standard_normal(n), rng.standard_normal(n), k
         )
         elapsed = time.perf_counter() - start
         analytic = -0.5 * math.log(1 - rho**2)
@@ -129,7 +126,7 @@ class TestCriterion4DagMode:
             model, _ = fit(data, SearchConfig(delta=math.inf))
             errors.append(order_error_count(truth, model.ordering))
         elapsed = time.perf_counter() - start
-        median = median_errors(errors)
+        median = float(np.median(errors))
         ok = median <= 1.0 and elapsed < 600.0
         report(4, ok, f"full-ordering mode errors {errors}, median {median}, {elapsed:.0f}s")
         assert median <= 1.0

@@ -174,6 +174,19 @@ class TestEstimationFailure:
         err = capsys.readouterr().err
         assert err.startswith("blockorder: estimation failed:") and len(err.strip().splitlines()) == 1
 
+    def test_duplicated_column_in_large_mode_exits_one(self, tmp_path):
+        # the second copy of column 0 has a residual of exactly zero variance
+        # once the first is ordered before it
+        x = np.random.default_rng(5).standard_normal((7, 3))
+        x[:, 1] = x[:, 0]
+        path = tmp_path / "dup.csv"
+        path.write_text("x0,x1,x2\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+        code, lines = run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json",
+                                  "--mode", "large", "--h", 2, "--subsets", 2])
+        assert code == 1
+        assert lines == ["blockorder: estimation failed: zero residual variance for variable(s) [1]: "
+                         "exactly collinear with the variables ordered before them"]
+
 
 class TestCsvReading:
     def test_headerless_csv(self, tmp_path):

@@ -13,19 +13,23 @@ from blockorder import (
     GenSpec,
     InvalidInputError,
     SearchConfig,
-    build_block_order,
     center,
-    extract_pairs,
     fit,
     fit_large,
     generate_dataset,
-    group_search,
+)
+from blockorder.covering import (
+    PairOrderList,
+    _order_cut,
+    build_block_order,
+    extract_pairs,
+    global_order,
     implied_constraints,
     merge_orders,
     random_covering,
 )
-from blockorder.covering import PairOrderList, _order_cut, global_order
 from blockorder.datagen import _power_noise
+from blockorder.search import group_search
 
 
 def power_chain():
@@ -200,7 +204,7 @@ class TestGlobalOrder:
 class TestFitLarge:
     def test_degenerate_covering_matches_exact_search_on_dag(self):
         data, _ = generate_dataset(GenSpec(p=4, n=800, seed=11, mode="dag"))
-        cfg = SearchConfig(delta=math.inf, max_exact_p=5)
+        cfg = SearchConfig(delta=math.inf)
         exact = group_search(data, data.variable_ids, cfg)
         large, _ = fit_large(data, h=4, n_subsets=1, cfg=cfg, seed=0)
         assert large.ordering.blocks == exact.blocks
@@ -239,6 +243,6 @@ class TestFitLarge:
         assert model.ordering.is_partition_of(range(10))
 
     def test_rejects_h_above_guard(self):
-        data, _ = generate_dataset(GenSpec(p=6, n=300, seed=1, mode="dag"))
+        data = center(np.random.default_rng(1).standard_normal((17, 50)))
         with pytest.raises(InvalidInputError):
-            fit_large(data, h=5, n_subsets=2, cfg=SearchConfig(max_exact_p=4), seed=0)
+            fit_large(data, h=16, n_subsets=2, seed=0)

@@ -7,7 +7,6 @@ from blockorder import (
     BlockOrdering,
     ChainGraphModel,
     InvalidInputError,
-    median_errors,
     order_error_count,
     scatter_pairs,
 )
@@ -88,14 +87,3 @@ class TestScatterPairs:
         with pytest.raises(InvalidInputError):
             scatter_pairs(chain_model(), small)
 
-
-class TestMedianErrors:
-    def test_odd_length(self):
-        assert median_errors([0, 0, 1]) == 0.0
-
-    def test_even_length_averages_middle(self):
-        assert median_errors([1, 3]) == 2.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            median_errors([])

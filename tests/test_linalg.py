@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from blockorder import (
-    DataMatrix,
-    InvalidInputError,
-    SingularMatrixError,
-    center,
-    covariance,
-    residualize,
-)
-from blockorder.linalg import regress_on
+from blockorder import DataMatrix, InvalidInputError, SingularMatrixError, center
+from blockorder.linalg import covariance, regress_on, residualize
 
 
 def naive_covariance(x):

@@ -10,38 +10,58 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from blockorder import DegenerateInputError, InvalidInputError, MiConfig, default_k, mutual_information
+from blockorder import DegenerateInputError, InvalidInputError, SearchConfig, center
 from blockorder import _kernels
+from blockorder.mi import mutual_information
+from blockorder.search import find_most_exogenous
 
 
 class TestDefaultK:
-    @pytest.mark.parametrize("n,expected", [(1000, 50), (20, 1), (500, 25)])
-    def test_five_percent_rule(self, n, expected):
-        assert default_k(n) == expected
+    """Without an explicit k the search asks for 5% of n, within [1, n-1]."""
 
-    def test_clamped_to_valid_range(self):
-        assert default_k(2) == 1
+    @staticmethod
+    def neighbor_counts(n, monkeypatch):
+        seen = set()
+
+        def recording_mi(x, y, k):
+            seen.add(k)
+            return 0.0
+
+        monkeypatch.setattr("blockorder.search.mutual_information", recording_mi)
+        data = center(np.random.default_rng(0).standard_normal((2, n)))
+        find_most_exogenous(data, (0, 1), SearchConfig())
+        return seen
+
+    @pytest.mark.parametrize("n,expected", [(1000, 50), (20, 1), (500, 25)])
+    def test_five_percent_rule(self, n, expected, monkeypatch):
+        assert self.neighbor_counts(n, monkeypatch) == {expected}
+
+    def test_clamped_to_valid_range(self, monkeypatch):
+        assert self.neighbor_counts(2, monkeypatch) == {1}
 
 
 class TestValidation:
     def test_too_few_samples_for_k(self):
         x = np.random.default_rng(0).standard_normal(10)
         with pytest.raises(InvalidInputError):
-            mutual_information(x, x + 1.0, MiConfig(10))
+            mutual_information(x, x + 1.0, 10)
 
     def test_mismatched_sample_counts(self):
         rng = np.random.default_rng(0)
         with pytest.raises(InvalidInputError):
-            mutual_information(rng.standard_normal(50), rng.standard_normal(49), MiConfig(3))
+            mutual_information(rng.standard_normal(50), rng.standard_normal(49), 3)
 
     def test_zero_variance_coordinate(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DegenerateInputError):
-            mutual_information(np.zeros(100), rng.standard_normal(100), MiConfig(3))
+            mutual_information(np.zeros(100), rng.standard_normal(100), 3)
 
     def test_bad_k(self):
+        x = np.random.default_rng(0).standard_normal(10)
         with pytest.raises(InvalidInputError):
-            MiConfig(0)
+            mutual_information(x, x + 1.0, 0)
+        with pytest.raises(InvalidInputError):
+            SearchConfig(k=0)
 
 
 class TestOracles:
@@ -49,7 +69,7 @@ class TestOracles:
         rng = np.random.default_rng(42)
         x = rng.standard_normal(4000)
         y = rng.standard_normal(4000)
-        mi = mutual_information(x, y, MiConfig(default_k(4000)))
+        mi = mutual_information(x, y, 200)
         assert abs(mi) <= 0.02
 
     def test_correlated_gaussians_match_closed_form(self):
@@ -58,12 +78,12 @@ class TestOracles:
         z = rng.standard_normal((2, 4000))
         x = z[0]
         y = rho * z[0] + np.sqrt(1 - rho**2) * z[1]
-        mi = mutual_information(x, y, MiConfig(default_k(4000)))
+        mi = mutual_information(x, y, 200)
         assert abs(mi - (-0.5 * np.log(1 - rho**2))) < 0.05
 
     def test_functional_dependence_saturates(self):
         x = np.random.default_rng(3).standard_normal(1000)
-        assert mutual_information(x, x, MiConfig(default_k(1000))) >= 2.0
+        assert mutual_information(x, x, 50) >= 2.0
 
 
 class TestInvariances:
@@ -71,39 +91,39 @@ class TestInvariances:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((2, 400))
         y = rng.standard_normal((1, 400))
-        assert mutual_information(x, y, MiConfig(20)) == mutual_information(y, x, MiConfig(20))
+        assert mutual_information(x, y, 20) == mutual_information(y, x, 20)
 
     def test_sample_permutation_is_bit_exact(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((2, 300))
         y = 0.5 * x[0] + rng.standard_normal(300)
         perm = rng.permutation(300)
-        a = mutual_information(x, y, MiConfig(15))
-        b = mutual_information(x[:, perm], y[perm], MiConfig(15))
+        a = mutual_information(x, y, 15)
+        b = mutual_information(x[:, perm], y[perm], 15)
         assert a == b
 
     def test_coordinate_permutation_is_bit_exact(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((3, 300))
         y = rng.standard_normal((1, 300))
-        a = mutual_information(x, y, MiConfig(15))
-        b = mutual_information(x[[2, 0, 1]], y, MiConfig(15))
+        a = mutual_information(x, y, 15)
+        b = mutual_information(x[[2, 0, 1]], y, 15)
         assert a == b
 
     def test_rescaling_invariance(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal((2, 300))
         y = rng.standard_normal((1, 300))
-        base = mutual_information(x, y, MiConfig(15))
+        base = mutual_information(x, y, 15)
         scaled = x * np.array([[3.7], [0.002]])
-        assert abs(mutual_information(scaled, y, MiConfig(15)) - base) <= 1e-9
+        assert abs(mutual_information(scaled, y, 15) - base) <= 1e-9
 
     def test_monotone_in_noise_level(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal(1500)
         noise = rng.standard_normal(1500)
         scores = [
-            mutual_information(x, x + sigma * noise, MiConfig(default_k(1500)))
+            mutual_information(x, x + sigma * noise, 75)
             for sigma in (0.1, 1.0, 10.0)
         ]
         assert scores[0] > scores[1] > scores[2]
@@ -111,7 +131,7 @@ class TestInvariances:
     def test_negative_estimates_are_allowed(self):
         # near-independence can dip below zero; just confirm it is finite
         rng = np.random.default_rng(11)
-        mi = mutual_information(rng.standard_normal(200), rng.standard_normal(200), MiConfig(40))
+        mi = mutual_information(rng.standard_normal(200), rng.standard_normal(200), 40)
         assert np.isfinite(mi)
 
 

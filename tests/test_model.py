@@ -9,13 +9,15 @@ from blockorder import (
     InvalidInputError,
     ModelInvalidError,
     center,
+    read_model_json,
+    write_model_json,
+)
+from blockorder.model import (
     check_block_lower_triangular,
     mixing_from_adjacency,
     model_from_dict,
     model_to_dict,
-    read_model_json,
     simulate,
-    write_model_json,
 )
 
 
@@ -168,6 +170,15 @@ class TestJsonRoundTrip:
             np.array_equal(a, b)
             for a, b in zip(back.within_block_cov, model.within_block_cov)
         )
+
+    @pytest.mark.parametrize("indices", [[0, 2], [0, 1, 1]], ids=["missing", "duplicated"])
+    def test_malformed_within_block_cov_rejected(self, indices):
+        # blocks (0, 1), (2,), (3, 4) need covariance entries for blocks 0, 1, 2
+        raw = model_to_dict(self.make_model())
+        covs = {item["block"]: item["cov"] for item in raw["within_block_cov"]}
+        raw["within_block_cov"] = [{"block": i, "cov": covs[i]} for i in indices]
+        with pytest.raises(InvalidInputError):
+            model_from_dict(raw)
 
     def test_file_round_trip(self, tmp_path):
         model = self.make_model()

@@ -3,14 +3,9 @@
 import numpy as np
 import pytest
 
-from blockorder import (
-    BlockOrdering,
-    GenSpec,
-    InvalidInputError,
-    check_block_lower_triangular,
-    estimate_strengths,
-    generate_dataset,
-)
+from blockorder import BlockOrdering, GenSpec, InvalidInputError, generate_dataset
+from blockorder.model import check_block_lower_triangular
+from blockorder.strengths import estimate_strengths
 
 
 class TestEstimateStrengths:
