@@ -14,6 +14,10 @@ from .errors import DegenerateInputError, InvalidInputError
 from .linalg import DataMatrix, covariance, regress_on
 from .model import BlockOrdering, ChainGraphModel
 
+# A residual this small relative to its variable is rounding error: OLS on
+# an exactly collinear predecessor set leaves about 1e-16 of the scale.
+COLLINEAR_RTOL = 1e-8
+
 
 def estimate_strengths(data: DataMatrix, ordering: BlockOrdering):
     """OLS strengths plus per-block residual covariances.
@@ -52,15 +56,16 @@ def assemble_model(data: DataMatrix, ordering: BlockOrdering) -> ChainGraphModel
 
     Strengths and per-block residual covariances come from
     ``estimate_strengths``; each variable's noise scale is the square root of
-    its own residual variance in its block.  A residual variance of exactly
-    zero (a variable that is an exact linear function of its predecessors)
+    its own residual variance in its block.  A noise scale of at most
+    ``COLLINEAR_RTOL`` times the variable's own standard deviation (a
+    variable that is, up to rounding, a linear function of its predecessors)
     raises ``DegenerateInputError``.
     """
     b, within = estimate_strengths(data, ordering)
     noise_std = np.zeros(data.n_variables)
     for block, cov in zip(ordering.blocks, within):
         noise_std[list(block)] = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    degenerate = np.flatnonzero(noise_std == 0.0)
+    degenerate = np.flatnonzero(noise_std <= COLLINEAR_RTOL * data.values.std(axis=1))
     if degenerate.size:
         raise DegenerateInputError(
             f"zero residual variance for variable(s) {degenerate.tolist()}: "

@@ -174,18 +174,43 @@ class TestEstimationFailure:
         err = capsys.readouterr().err
         assert err.startswith("blockorder: estimation failed:") and len(err.strip().splitlines()) == 1
 
-    def test_duplicated_column_in_large_mode_exits_one(self, tmp_path):
-        # the second copy of column 0 has a residual of exactly zero variance
-        # once the first is ordered before it
-        x = np.random.default_rng(5).standard_normal((7, 3))
+    @staticmethod
+    def duplicated_column_csv(tmp_path, seed):
+        """7 samples of 3 variables from ``default_rng(seed)``, column 1 = column 0."""
+        x = np.random.default_rng(seed).standard_normal((7, 3))
         x[:, 1] = x[:, 0]
         path = tmp_path / "dup.csv"
         path.write_text("x0,x1,x2\n" + "".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+        return path
+
+    @staticmethod
+    def large_mode_lines(path, tmp_path):
         code, lines = run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json",
                                   "--mode", "large", "--h", 2, "--subsets", 2])
         assert code == 1
-        assert lines == ["blockorder: estimation failed: zero residual variance for variable(s) [1]: "
-                         "exactly collinear with the variables ordered before them"]
+        return lines
+
+    def test_duplicated_column_in_large_mode_exits_one(self, tmp_path):
+        # the second copy of column 0 has a residual of exactly zero variance
+        # once the first is ordered before it
+        assert self.large_mode_lines(self.duplicated_column_csv(tmp_path, 5), tmp_path) == [
+            "blockorder: estimation failed: zero residual variance for variable(s) [1]: "
+            "exactly collinear with the variables ordered before them"]
+
+    def test_rounding_error_residual_in_large_mode_exits_one(self, tmp_path):
+        # regressed on two variables, the copy keeps a residual of rounding
+        # error only (noise_std 2e-17) rather than exactly zero
+        lines = self.large_mode_lines(self.duplicated_column_csv(tmp_path, 0), tmp_path)
+        assert len(lines) == 1 and lines[0].startswith("blockorder: estimation failed:")
+
+    def test_duplicated_column_within_one_block_fits(self, tmp_path):
+        # inside a block neither copy is regressed on the other, so both keep
+        # the residual variance of column 0
+        out = tmp_path / "m.json"
+        assert run(["fit", "--input", self.duplicated_column_csv(tmp_path, 2), "--output", out]) == 0
+        model = json.loads(out.read_text())
+        assert model["blocks"] == [[0, 1], [2]]
+        assert model["noise_std"][0] == model["noise_std"][1] > 0.1
 
 
 class TestCsvReading:

@@ -1,6 +1,7 @@
 """Tests for the k-nearest-neighbor mutual information estimator."""
 
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -143,11 +144,19 @@ def _brute_force(pts, k, radii):
     return np.sort(dist, axis=1)[:, k], inside.sum(axis=1) - np.diag(inside)
 
 
+@pytest.fixture
+def three_workers(monkeypatch):
+    """The kernels split rows four ways, on a fresh pool, whatever the core count."""
+    monkeypatch.setattr(_kernels, "_WORKERS", 3)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    yield
+    if _kernels._pool is not None:
+        _kernels._pool.shutdown()
+
+
 class TestKernelsAgainstBruteForce:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("ties", [False, True])
-    @pytest.mark.parametrize("chunk_rows", [None, 3])
-    def test_bit_identical(self, d, ties, chunk_rows, monkeypatch):
+    @staticmethod
+    def check(d, ties, chunk_rows, monkeypatch):
         n, k = 97, 5
         rng = np.random.default_rng(100 * d + ties)
         if ties:
@@ -167,6 +176,26 @@ class TestKernelsAgainstBruteForce:
         if ties:
             assert np.any(radii == 0.0) and np.any(radii > 0.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    def test_bit_identical(self, d, ties, chunk_rows, monkeypatch):
+        self.check(d, ties, chunk_rows, monkeypatch)
+
+    # 40 rows per block gives 3 blocks, fewer than the 4 ranges; 97 rows are
+    # not a multiple of 5 (20 blocks, 2-row blocks within each range)
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [40, 5, 1])
+    def test_split_rows_bit_identical(self, d, ties, chunk_rows, monkeypatch, three_workers):
+        self.check(d, ties, chunk_rows, monkeypatch)
+        assert _kernels._pool is not None  # the rows were split
+
+    @pytest.mark.parametrize("n,split", [(256, False), (257, True)])
+    def test_only_multi_block_calls_split(self, n, split, three_workers):
+        _kernels.kth_neighbor_distance(np.random.default_rng(n).standard_normal((n, 2)), 3)
+        assert (_kernels._pool is not None) == split
+
     def test_scratch_memory_is_bounded(self):
         # the kernels work through cache-sized row blocks in reused buffers;
         # a whole-matrix temporary at this size would be tens of MiB
@@ -180,13 +209,47 @@ class TestKernelsAgainstBruteForce:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_scratch_memory_is_bounded_when_split(self, three_workers):
+        # the ranges share one block's worth of scratch
+        self.test_scratch_memory_is_bounded()
 
-def test_import_does_not_load_scipy_spatial():
-    # scipy.spatial costs several MiB resident; the kernels do without it
+
+def test_forked_child_runs_split_kernels(three_workers):
+    # the child inherits a pool whose threads stayed behind in the parent;
+    # it must start its own rather than queue work that never runs
+    pts = np.random.default_rng(3).standard_normal((2000, 3))
+    radii = _kernels.kth_neighbor_distance(pts, 20)
+    counts = _kernels.count_within(pts[:, :2], radii)
+    assert _kernels._pool is not None
+    pid = os.fork()
+    if pid == 0:  # child: never return into pytest
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(10)
+            again = _kernels.kth_neighbor_distance(pts, 20)
+            same = np.array_equal(again, radii)
+            code = 0 if same and np.array_equal(_kernels.count_within(pts[:, :2], again), counts) else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _run_with_package(code):
     package_root = str(Path(_kernels.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-    code = "import sys, blockorder; print('scipy.spatial' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy_spatial():
+    # scipy.spatial costs several MiB resident; the kernels do without it
+    assert _run_with_package("import sys, blockorder; print('scipy.spatial' in sys.modules)") == "False"
+
+
+def test_import_starts_no_thread():
+    # the kernels' thread pool starts with the first call that splits rows
+    assert _run_with_package("import threading, blockorder; print(threading.active_count())") == "1"
