@@ -32,27 +32,19 @@ _CLI_MODES = {"chain": "chain_graph", "dag": "dag", "eq4": "eq4_example"}
 
 
 def _parse_delta(text: str) -> float:
-    if text.strip().lower() in {"inf", "+inf", "infinity"}:
-        return math.inf
     try:
-        value = float(text)
+        return float(text)
     except ValueError as exc:
         raise InvalidInputError(f"--delta must be a number or 'inf', got {text!r}") from exc
-    if math.isnan(value) or value < 0:
-        raise InvalidInputError("--delta must be >= 0 or 'inf'")
-    return value
 
 
 def _parse_kneig(text: str) -> int | None:
     if text.strip().lower() == "auto":
         return None
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise InvalidInputError(f"--kneig must be an integer or 'auto', got {text!r}") from exc
-    if value < 1:
-        raise InvalidInputError("--kneig must be >= 1")
-    return value
 
 
 def _delta_repr(delta: float):
@@ -99,34 +91,21 @@ def read_csv_matrix(path) -> DataMatrix:
     return center(table.T)
 
 
+def _write_csv(path, header, rows) -> None:
+    """A header line, then one line per row; a float cell is written as its repr."""
+    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(str(cell) for cell in row) + "\n")
+
+
 def write_csv_matrix(path, data: DataMatrix) -> None:
-    values = data.values
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(f"x{i}" for i in data.variable_ids) + "\n")
-        for col in range(values.shape[1]):
-            handle.write(",".join(repr(float(v)) for v in values[:, col]) + "\n")
-
-
-def _write_trace_csv(path, trace) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("level,subset,score\n")
-        for record in trace:
-            subset = ";".join(str(i) for i in record.subset)
-            handle.write(f"{record.level},{subset},{repr(float(record.score))}\n")
-
-
-def _write_scatter_csv(path, pairs) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("true_b,est_b\n")
-        for true_b, est_b in pairs:
-            handle.write(f"{repr(float(true_b))},{repr(float(est_b))}\n")
+    _write_csv(path, (f"x{i}" for i in data.variable_ids), data.values.T.tolist())
 
 
 def _cmd_fit(args) -> int:
-    delta = _parse_delta(args.delta)
-    kneig = _parse_kneig(args.kneig)
+    cfg = SearchConfig(delta=_parse_delta(args.delta), k=_parse_kneig(args.kneig))
     data = read_csv_matrix(args.input)
-    cfg = SearchConfig(delta=delta, k=kneig)
     if args.mode == "exact":
         model, trace = fit(data, cfg)
     else:
@@ -134,8 +113,8 @@ def _cmd_fit(args) -> int:
     params = {
         "command": "fit",
         "input": str(args.input),
-        "delta": _delta_repr(delta),
-        "kneig": "auto" if kneig is None else kneig,
+        "delta": _delta_repr(cfg.delta),
+        "kneig": "auto" if cfg.k is None else cfg.k,
         "mode": args.mode,
         "h": args.h,
         "subsets": args.subsets,
@@ -143,7 +122,8 @@ def _cmd_fit(args) -> int:
     }
     write_model_json(args.output, model, params)
     if args.trace:
-        _write_trace_csv(args.trace, trace)
+        rows = ((r.level, ";".join(str(i) for i in r.subset), float(r.score)) for r in trace)
+        _write_csv(args.trace, ("level", "subset", "score"), rows)
     return 0
 
 
@@ -169,9 +149,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
-    delta = _parse_delta(args.delta)
+    cfg = SearchConfig(delta=_parse_delta(args.delta))
     mode = _CLI_MODES[args.mode]
-    cfg = SearchConfig(delta=delta)
     report_path = Path(args.report)
     scatter_path = report_path.with_name(report_path.stem + "_scatter" + (report_path.suffix or ".csv"))
     rows = []
@@ -188,17 +167,12 @@ def _cmd_benchmark(args) -> int:
             model, _ = fit_large(data, args.h, args.subsets, cfg, fit_seed)
         runtime_ms = (time.perf_counter() - start) * 1000.0
         rows.append(
-            (trial, args.p, args.n, args.mode, _delta_repr(delta),
-             order_error_count(truth, model.ordering), runtime_ms)
+            (trial, args.p, args.n, args.mode, _delta_repr(cfg.delta),
+             order_error_count(truth, model.ordering), f"{runtime_ms:.3f}")
         )
         all_pairs.extend(scatter_pairs(truth, model))
-    with report_path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write("trial,p,n,mode,delta,error_count,runtime_ms\n")
-        for trial, p, n, mode_name, delta_val, errors, runtime_ms in rows:
-            handle.write(
-                f"{trial},{p},{n},{mode_name},{delta_val},{errors},{runtime_ms:.3f}\n"
-            )
-    _write_scatter_csv(scatter_path, all_pairs)
+    _write_csv(report_path, ("trial", "p", "n", "mode", "delta", "error_count", "runtime_ms"), rows)
+    _write_csv(scatter_path, ("true_b", "est_b"), all_pairs)
     return 0
 
 

@@ -32,6 +32,10 @@ SUPER_GAUSSIAN_EXPONENTS = (1.2, 2.0)
 # exponents can land close to 1, and near-Gaussian confounders make the
 # blocks statistically unidentifiable at moderate sample sizes.
 EXAMPLE_EXPONENT = 2.0
+# Its edges j -> i as {(i, j): b_ij}, and per block the loadings of the
+# block's noise terms on the block's latent factor.
+EXAMPLE_STRENGTHS = {(1, 0): 0.8, (2, 1): 0.8, (3, 2): 0.8, (4, 0): 0.8, (4, 3): 0.8}
+EXAMPLE_LOADINGS = ((0.7, 0.7), (), (0.7, 0.7))
 
 _MASK64 = (1 << 64) - 1
 
@@ -90,22 +94,10 @@ def _implied_within_cov(b: np.ndarray, blocks, noise_covs) -> tuple[np.ndarray, 
 
 
 def _draw_model(rng: np.random.Generator, p: int, singletons: bool) -> ChainGraphModel:
-    if singletons:
-        m = p
-    else:
-        m = int(rng.integers(1, p + 1))
+    m = p if singletons else int(rng.integers(1, p + 1))
     perm = rng.permutation(p)
-    if m == 1:
-        sizes = [p]
-    else:
-        cuts = sorted(int(c) for c in rng.choice(p - 1, size=m - 1, replace=False))
-        bounds = [0] + [c + 1 for c in cuts] + [p]
-        sizes = [bounds[i + 1] - bounds[i] for i in range(m)]
-    blocks = []
-    offset = 0
-    for size in sizes:
-        blocks.append(tuple(sorted(int(v) for v in perm[offset : offset + size])))
-        offset += size
+    cuts = np.sort(rng.choice(p - 1, size=m - 1, replace=False)) + 1 if m > 1 else []
+    blocks = [tuple(sorted(int(v) for v in part)) for part in np.split(perm, cuts)]
 
     max_parents = int(rng.integers(1, p + 1))
     noise_std = rng.uniform(*NOISE_STD_RANGE, size=p)
@@ -185,52 +177,34 @@ def _permute_model(rng, x: np.ndarray, model: ChainGraphModel):
     return x_new, model
 
 
-def confounded_example_model(
-    b21: float = 0.8,
-    b32: float = 0.8,
-    b42: float = 0.0,
-    b43: float = 0.8,
-    b51: float = 0.8,
-    b54: float = 0.8,
-    c1: float = 0.7,
-    c2: float = 0.7,
-    c4: float = 0.7,
-    c5: float = 0.7,
-):
+def confounded_example_model() -> ChainGraphModel:
     """The fixed 5-variable chain graph with confounders inside blocks 1 and 3.
 
-    Blocks are {0,1} < {2} < {3,4}.  Noise pairs (e0, e1) and (e3, e4) share
-    unit-variance latent factors with the given loadings; every e_i has unit
-    variance.  Returns ``(model, loadings)``.
+    Blocks are {0,1} < {2} < {3,4}, with the edges of ``EXAMPLE_STRENGTHS``.
+    Noise pairs (e0, e1) and (e3, e4) share unit-variance latent factors with
+    the ``EXAMPLE_LOADINGS``; every e_i has unit variance.
     """
-    for c in (c1, c2, c4, c5):
-        if not 0.0 <= c < 1.0:
-            raise InvalidInputError("latent loadings must lie in [0, 1)")
     b = np.zeros((5, 5))
-    b[1, 0] = b21
-    b[2, 1] = b32
-    b[3, 1] = b42
-    b[3, 2] = b43
-    b[4, 0] = b51
-    b[4, 3] = b54
+    for (i, j), strength in EXAMPLE_STRENGTHS.items():
+        b[i, j] = strength
     blocks = ((0, 1), (2,), (3, 4))
+    (c1, c2), _, (c4, c5) = EXAMPLE_LOADINGS
     noise_covs = (
         np.array([[1.0, c1 * c2], [c1 * c2, 1.0]]),
         np.array([[1.0]]),
         np.array([[1.0, c4 * c5], [c4 * c5, 1.0]]),
     )
-    model = ChainGraphModel(
+    return ChainGraphModel(
         b,
         BlockOrdering(blocks),
         np.ones(5),
         _implied_within_cov(b, blocks, noise_covs),
     )
-    return model, ((c1, c2), (), (c4, c5))
 
 
-def _eq4_noise(rng: np.random.Generator, n: int, loadings) -> np.ndarray:
+def _eq4_noise(rng: np.random.Generator, n: int) -> np.ndarray:
     e = np.empty((5, n))
-    (c1, c2), _, (c4, c5) = loadings
+    (c1, c2), _, (c4, c5) = EXAMPLE_LOADINGS
     factor_f = _power_noise(rng, n, EXAMPLE_EXPONENT)
     factor_g = _power_noise(rng, n, EXAMPLE_EXPONENT)
     for row, (c, factor) in enumerate(
@@ -252,8 +226,8 @@ def generate_dataset(spec: GenSpec):
     """
     rng = np.random.default_rng(spec.seed)
     if spec.mode == "eq4_example":
-        model, loadings = confounded_example_model()
-        return simulate(model, _eq4_noise(rng, spec.n, loadings)), model
+        model = confounded_example_model()
+        return simulate(model, _eq4_noise(rng, spec.n)), model
     model = _draw_model(rng, spec.p, singletons=spec.mode == "dag")
     x = simulate(model, _draw_noise(rng, model, spec.n))
     x_new, model = _permute_model(rng, x.values, model)

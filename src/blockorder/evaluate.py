@@ -13,12 +13,7 @@ def order_error_count(true_model: ChainGraphModel, estimated: BlockOrdering) -> 
     lands strictly before its source in the estimated ordering.  Pairs
     inside one estimated block never count.
     """
-    p = true_model.n_variables
-    if not estimated.is_partition_of(range(p)):
-        raise InvalidInputError("estimated ordering must cover the model's variables")
-    level_map = estimated.level_of()
-    levels = np.array([level_map[i] for i in range(p)])
-    violated = levels[:, None] < levels[None, :]
+    violated = estimated.backward_mask(true_model.n_variables)
     return int(np.count_nonzero((true_model.b != 0.0) & violated))
 
 

@@ -47,17 +47,25 @@ class DataMatrix:
     def restrict(self, ids: Iterable[int]) -> "DataMatrix":
         """Sub-matrix holding only the given variables, in the given order."""
         wanted = tuple(int(i) for i in ids)
-        pos = {v: r for r, v in enumerate(self.variable_ids)}
-        missing = [i for i in wanted if i not in pos]
-        if missing:
-            raise InvalidInputError(f"unknown variable ids: {missing}")
-        values = self.values[[pos[i] for i in wanted]]
-        _check_layout(values, wanted)
-        # rows of a validated matrix are finite and centered already
-        sub = object.__new__(DataMatrix)
-        object.__setattr__(sub, "values", values)
-        object.__setattr__(sub, "variable_ids", wanted)
-        return sub
+        return _derived(self.values[_rows(self, wanted)], wanted)
+
+
+def _rows(data: DataMatrix, ids: tuple[int, ...]) -> list[int]:
+    """Row position of each id, in the order given."""
+    pos = {v: r for r, v in enumerate(data.variable_ids)}
+    missing = [i for i in ids if i not in pos]
+    if missing:
+        raise InvalidInputError(f"unknown variable ids: {missing}")
+    return [pos[i] for i in ids]
+
+
+def _derived(values: np.ndarray, variable_ids: tuple[int, ...]) -> DataMatrix:
+    """DataMatrix of rows derived from a validated one, so finite and centered already."""
+    _check_layout(values, variable_ids)
+    out = object.__new__(DataMatrix)
+    object.__setattr__(out, "values", values)
+    object.__setattr__(out, "variable_ids", variable_ids)
+    return out
 
 
 def _check_layout(values: np.ndarray, variable_ids: tuple[int, ...]) -> None:
@@ -114,21 +122,6 @@ def _solve_spd(sigma_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return scipy.linalg.cho_solve(factor, rhs)
 
 
-def _split_positions(data: DataMatrix, subset: Iterable[int]):
-    s_ids = tuple(sorted({int(i) for i in subset}))
-    if not s_ids:
-        raise InvalidInputError("subset must not be empty")
-    pos = {v: r for r, v in enumerate(data.variable_ids)}
-    missing = [i for i in s_ids if i not in pos]
-    if missing:
-        raise InvalidInputError(f"subset contains unknown variable ids: {missing}")
-    if len(s_ids) == data.n_variables:
-        raise InvalidInputError("subset must be a proper subset of the variables")
-    s_set = set(s_ids)
-    rest_ids = tuple(i for i in data.variable_ids if i not in s_set)
-    return s_ids, [pos[i] for i in s_ids], rest_ids, [pos[i] for i in rest_ids]
-
-
 def regress_on(data: DataMatrix, subset: Iterable[int]):
     """OLS of the remaining variables on x_S.
 
@@ -136,11 +129,17 @@ def regress_on(data: DataMatrix, subset: Iterable[int]):
     s-th subset variable in the t-th remaining variable, and ``residuals`` is
     a DataMatrix over the remaining variables in their original order.
     """
-    s_ids, s_pos, rest_ids, rest_pos = _split_positions(data, subset)
+    s_set = {int(i) for i in subset}
+    s_ids = tuple(sorted(s_set))
+    s_pos = _rows(data, s_ids)
+    if not 0 < len(s_ids) < data.n_variables:
+        raise InvalidInputError("subset must be a non-empty proper subset of the variables")
+    rest_ids = tuple(i for i in data.variable_ids if i not in s_set)
+    rest_pos = _rows(data, rest_ids)
     cov = covariance(data)
     beta = _solve_spd(cov[np.ix_(s_pos, s_pos)], cov[np.ix_(s_pos, rest_pos)])  # (|S|, |rest|)
     resid = data.values[rest_pos] - beta.T @ data.values[s_pos]
-    return beta.T, DataMatrix(resid, rest_ids)
+    return beta.T, _derived(resid, rest_ids)
 
 
 def residualize(data: DataMatrix, subset: Iterable[int]) -> DataMatrix:

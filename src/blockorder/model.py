@@ -58,19 +58,22 @@ class BlockOrdering:
     def to_lists(self) -> list[list[int]]:
         return [list(block) for block in self.blocks]
 
+    def backward_mask(self, p: int) -> np.ndarray:
+        """Mask of the [i, j] where an edge j -> i would run from a later block
+        into an earlier one; the blocks must partition 0..p-1."""
+        if not self.is_partition_of(range(p)):
+            raise InvalidInputError("ordering must partition 0..p-1")
+        level_map = self.level_of()
+        levels = np.array([level_map[i] for i in range(p)])
+        return levels[:, None] < levels[None, :]
+
 
 def check_block_lower_triangular(b, ordering: BlockOrdering) -> bool:
     """True iff no entry lets a later block influence an earlier one."""
     mat = np.asarray(b, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidInputError("adjacency matrix must be square")
-    p = mat.shape[0]
-    if not ordering.is_partition_of(range(p)):
-        raise InvalidInputError("ordering must partition 0..p-1")
-    level_map = ordering.level_of()
-    levels = np.array([level_map[i] for i in range(p)])
-    forbidden = levels[:, None] < levels[None, :]
-    return not np.any(mat[forbidden] != 0.0)
+    return not np.any(mat[ordering.backward_mask(mat.shape[0])] != 0.0)
 
 
 def mixing_from_adjacency(b) -> np.ndarray:
@@ -116,8 +119,6 @@ class ChainGraphModel:
             raise InvalidInputError("noise_std entries must be strictly positive")
         if np.any(np.diag(mat) != 0.0):
             raise InvalidInputError("adjacency diagonal must be zero")
-        if not self.ordering.is_partition_of(range(p)):
-            raise InvalidInputError("ordering must partition 0..p-1")
         if not check_block_lower_triangular(mat, self.ordering):
             raise ModelInvalidError("adjacency matrix does not respect the block ordering")
         if self.within_block_cov is not None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, NamedTuple
 
-from .errors import InvalidInputError, SearchTooLargeError
+from .errors import DegenerateInputError, InvalidInputError, SearchTooLargeError
 from .linalg import DataMatrix, residualize
 from .mi import mutual_information
 from .model import BlockOrdering
@@ -49,7 +49,16 @@ def independence_score(data: DataMatrix, subset, k: int) -> float:
     """MI between x_S and the residuals of the remaining variables on x_S."""
     s_ids = tuple(sorted(int(i) for i in subset))
     resid = residualize(data, s_ids)
-    return mutual_information(data.restrict(s_ids).values, resid.values, k)
+    x_s = data.restrict(s_ids)
+    try:
+        return mutual_information(x_s.values, resid.values, k)
+    except DegenerateInputError as exc:
+        flat = [i for part in (x_s, resid)
+                for i, std in zip(part.variable_ids, part.values.std(axis=1)) if not std > 0.0]
+        raise DegenerateInputError(
+            f"zero variance for variable(s) {flat} when scoring candidate {list(s_ids)}: "
+            "exactly collinear with the variables regressed out of them"
+        ) from exc
 
 
 def enumerate_candidates(

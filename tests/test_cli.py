@@ -203,6 +203,16 @@ class TestEstimationFailure:
         lines = self.large_mode_lines(self.duplicated_column_csv(tmp_path, 0), tmp_path)
         assert len(lines) == 1 and lines[0].startswith("blockorder: estimation failed:")
 
+    def test_duplicated_column_in_exact_mode_names_the_variable(self, tmp_path):
+        # scoring candidate (0,) regresses the copy on column 0, which leaves
+        # it a residual of exactly zero variance
+        code, lines = run_stderr(["fit", "--input", self.duplicated_column_csv(tmp_path, 0),
+                                  "--output", tmp_path / "m.json"])
+        assert code == 1
+        assert lines == [
+            "blockorder: estimation failed: zero variance for variable(s) [1] when scoring "
+            "candidate [0]: exactly collinear with the variables regressed out of them"]
+
     def test_duplicated_column_within_one_block_fits(self, tmp_path):
         # inside a block neither copy is regressed on the other, so both keep
         # the residual variance of column 0
@@ -280,7 +290,8 @@ class TestCsvReading:
     def test_infinity_delta_parse(self):
         from blockorder.cli import _parse_delta
 
-        assert _parse_delta("inf") == math.inf
+        for text in ("inf", "Infinity", " +INF ", "1e400"):
+            assert _parse_delta(text) == math.inf
         assert _parse_delta("0.25") == 0.25
 
 
@@ -332,7 +343,8 @@ class TestCliContract:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         text=csv_texts(),
-        delta=st.sampled_from(["0.01", "0.01", "0", "inf", "Infinity", "1e9", "-1", "nan", "abc"]),
+        delta=st.sampled_from(["0.01", "0.01", "0", "inf", "Infinity", "1e9", "-1", "-inf",
+                               "nan", "abc"]),
         kneig=st.sampled_from(["auto", "auto", "auto", "auto", "1", "3", "0", "100", "k"]),
         mode=st.sampled_from(["exact", "large"]),
         h=st.integers(1, 4),

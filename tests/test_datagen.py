@@ -7,6 +7,7 @@ from scipy.stats import kurtosis
 from blockorder import (
     GenSpec,
     InvalidInputError,
+    confounded_example_model,
     derive_seed,
     generate_dataset,
     random_chain_graph,
@@ -103,6 +104,27 @@ class TestGenerateDataset:
         assert truth.ordering.to_lists() == [[0, 1], [2], [3, 4]]
         assert data.values.shape == (5, 200)
         assert truth.b[1, 0] == 0.8 and truth.b[4, 3] == 0.8
+
+    def test_example_model_is_fixed(self):
+        model = confounded_example_model()
+        assert np.array_equal(model.b, [
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.8, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.8, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.8, 0.0, 0.0],
+            [0.8, 0.0, 0.0, 0.8, 0.0],
+        ])
+        assert np.array_equal(model.noise_std, np.ones(5))
+        # noise correlation 0.7 * 0.7 inside {0, 1} and {3, 4}, pushed
+        # through the within-block edge of strength 0.8
+        pair = [[1.0, 1.29], [1.29, 2.424]]
+        covs = model.within_block_cov
+        assert len(covs) == 3
+        assert np.allclose(covs[0], pair, rtol=0.0, atol=1e-12)
+        assert np.array_equal(covs[1], [[1.0]])
+        assert np.allclose(covs[2], pair, rtol=0.0, atol=1e-12)
+        with pytest.raises(TypeError):
+            confounded_example_model(0.5)
 
     def test_example_confounder_correlation(self):
         # correlation of the two first-block noises is c1*c2 = 0.49
