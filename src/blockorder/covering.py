@@ -29,13 +29,21 @@ never scored.  Under that rule a run's output is always a linear extension
 of the known relation, so subset runs cannot create cycles; the merge
 machinery still guards callers that feed independently collected pair
 batches.
+
+Under the global order that closure adds no constraint.  Every run is also
+constrained by the order's pairs within its subset, so its candidates are
+prefixes of the subset in the order, its blocks are contiguous in the order
+and every pair it yields follows the order; so does the closure of those
+pairs.  A run's result therefore depends on its subset alone, and a subset
+that holds no two neighbours in the order, which could not join any, is not
+searched at all.
 """
 
 import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -63,6 +71,8 @@ def random_covering(p: int, h: int, n_subsets: int, seed: int) -> Covering:
         raise InvalidInputError(f"need 2 <= h <= p, got h={h}, p={p}")
     if n_subsets < 1:
         raise InvalidInputError("need at least one subset")
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     subsets = [
         tuple(sorted(int(v) for v in rng.choice(p, size=h, replace=False)))
@@ -216,51 +226,72 @@ _K1, _K2, _GAMMA = 79.047, 7.4129, 0.37457
 _CHUNK_ELEMENTS = 1 << 17
 
 
-def _entropy(u: np.ndarray) -> np.ndarray:
-    """Approximate entropy of each standardised row of ``u`` (last axis: samples)."""
-    log_cosh = np.log(np.cosh(u)).mean(axis=-1, dtype=np.float64)
-    gauss = (u * np.exp(-0.5 * u * u)).mean(axis=-1, dtype=np.float64)
+def _entropy(u: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Approximate entropy of each standardised row of ``u`` (last axis: samples).
+
+    ``scratch``, an array of ``u``'s shape and dtype, holds the elementwise
+    terms; without it they go to a fresh array.
+    """
+    w = np.empty_like(u) if scratch is None else scratch
+    log_cosh = np.log(np.cosh(u, out=w), out=w).mean(axis=-1, dtype=np.float64)
+    np.multiply(-0.5, u, out=w)
+    np.multiply(w, u, out=w)
+    gauss = np.multiply(u, np.exp(w, out=w), out=w).mean(axis=-1, dtype=np.float64)
     return _ENTROPY_GAUSS - _K1 * (log_cosh - _GAMMA) ** 2 - _K2 * gauss**2
+
+
+def _exogeneity_scores(z: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+    """DirectLiNGAM's score of each standardised row of ``z``; lowest is most exogenous.
+
+    Row i scores ``sum_j min(0, H(z_j) + H(r_i|j) - H(z_i) - H(r_j|i))**2``,
+    where ``r_i|j`` is the standardised residual of z_i regressed on z_j and
+    H is the entropy approximation.  The pairwise residuals are formed and
+    summed over in float32 with float64 accumulation, whole rows of pairs at
+    a time, in the two rows of the float32 array ``buffers``; each row must
+    hold ``max(_CHUNK_ELEMENTS, z.size)`` values.
+    """
+    m, n = z.shape
+    corr = np.clip(z @ z.T / n, -1.0, 1.0)
+    # r_i|j = a[i, j] * z_i - b[i, j] * z_j has unit variance
+    a = 1.0 / np.sqrt(np.maximum(1.0 - corr * corr, 1e-12))
+    b = (corr * a).astype(np.float32)
+    a = a.astype(np.float32)
+    z32 = z.astype(np.float32)
+    h_resid = np.empty((m, m))
+    rows = max(1, _CHUNK_ELEMENTS // (m * n))
+    for lo in range(0, m, rows):
+        hi = min(m, lo + rows)
+        resid = buffers[0, : (hi - lo) * m * n].reshape(hi - lo, m, n)
+        scratch = buffers[1, : resid.size].reshape(resid.shape)
+        # each product is rounded to float32 before the difference
+        np.multiply(a[lo:hi, :, None], z32[lo:hi, None, :], out=resid)
+        np.multiply(b[lo:hi, :, None], z32[None, :, :], out=scratch)
+        h_resid[lo:hi] = _entropy(np.subtract(resid, scratch, out=resid), scratch)
+    h = _entropy(z)
+    diff = h[None, :] + h_resid - h[:, None] - h_resid.T
+    np.fill_diagonal(diff, 0.0)
+    return (np.minimum(diff, 0.0) ** 2).sum(axis=1)
 
 
 def global_order(data: DataMatrix) -> tuple[int, ...]:
     """Causal order of all variables, most exogenous first.
 
     DirectLiNGAM with the pairwise entropy-approximation measure: each step
-    takes the remaining variable i with the smallest
-    ``sum_j min(0, H(z_j) + H(r_i|j) - H(z_i) - H(r_j|i))**2`` next,
-    where z are the standardised variables, ``r_i|j`` is the standardised
-    residual of z_i regressed on z_j and H is the entropy approximation.
-    The remaining variables are then regressed on it.  Ties go to the
-    smallest variable id.  The pairwise residuals are formed and summed over
-    in float32 with float64 accumulation; the approximation is much coarser
-    than that rounding.
+    standardises the remaining variables, takes the one with the lowest
+    ``_exogeneity_scores`` next and regresses the others on it.  Ties go to
+    the smallest variable id.  The float32 rounding of the pairwise
+    residuals is much finer than the approximation.
     """
     x = np.array(data.values, dtype=np.float64)
     n = data.n_samples
     remaining = list(range(data.n_variables))
+    buffers = np.empty((2, max(_CHUNK_ELEMENTS, len(remaining) * n)), dtype=np.float32)
     order: list[int] = []
     while len(remaining) > 1:
-        m = len(remaining)
         z = x[remaining]
         sd = np.sqrt((z * z).mean(axis=1))
         z /= np.where(sd > 0.0, sd, 1.0)[:, None]
-        corr = np.clip(z @ z.T / n, -1.0, 1.0)
-        # r_i|j = a[i, j] * z_i - b[i, j] * z_j has unit variance
-        a = 1.0 / np.sqrt(np.maximum(1.0 - corr * corr, 1e-12))
-        b = (corr * a).astype(np.float32)
-        a = a.astype(np.float32)
-        z32 = z.astype(np.float32)
-        h_resid = np.empty((m, m))
-        rows = max(1, _CHUNK_ELEMENTS // (m * n))
-        for lo in range(0, m, rows):
-            hi = min(m, lo + rows)
-            resid = a[lo:hi, :, None] * z32[lo:hi, None, :] - b[lo:hi, :, None] * z32[None, :, :]
-            h_resid[lo:hi] = _entropy(resid)
-        h = _entropy(z)
-        diff = h[None, :] + h_resid - h[:, None] - h_resid.T
-        np.fill_diagonal(diff, 0.0)
-        chosen = remaining.pop(int(np.argmin((np.minimum(diff, 0.0) ** 2).sum(axis=1))))
+        chosen = remaining.pop(int(np.argmin(_exogeneity_scores(z, buffers))))
         order.append(chosen)
         top = x[chosen]
         energy = top @ top
@@ -270,18 +301,22 @@ def global_order(data: DataMatrix) -> tuple[int, ...]:
     return tuple(data.variable_ids[i] for i in order)
 
 
-def _order_cut(order: Sequence[int], runs: Iterable[BlockOrdering]) -> BlockOrdering:
+def _adjacent_ranks(rank: Mapping[int, int], members: Iterable[int]) -> np.ndarray:
+    """Ranks r in the order such that order[r - 1] and order[r] are both members."""
+    ranks = np.sort([rank[v] for v in members])
+    return ranks[1:][np.diff(ranks) == 1]
+
+
+def _order_cut(order: Sequence[int], rank: Mapping[int, int], runs: Iterable[BlockOrdering]) -> BlockOrdering:
     """The global order cut into contiguous blocks.
 
     Two neighbours in the order share a block only when some run kept them
-    in one block.
+    in one block.  ``rank`` maps each variable to its position in ``order``.
     """
-    rank = {v: r for r, v in enumerate(order)}
     joined = np.zeros(len(order), dtype=bool)  # joined[r]: order[r - 1] and order[r]
     for ordering in runs:
         for block in ordering.blocks:
-            ranks = np.sort([rank[v] for v in block])
-            joined[ranks[1:][np.diff(ranks) == 1]] = True
+            joined[_adjacent_ranks(rank, block)] = True
     cuts = np.flatnonzero(~joined[1:]) + 1
     return BlockOrdering(tuple(tuple(part) for part in np.split(np.asarray(order), cuts)))
 
@@ -293,9 +328,17 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
     itself, model and trace alike.  With h < p the global causal order of
     all variables is computed first; every subset run is constrained by it,
     and the result is that order cut into contiguous blocks where some run
-    kept two neighbours together.  Subset runs are sequential: each one is
-    also pruned by the pairs of its subset in the transitive closure of the
-    precedence pairs accumulated so far.  Returns ``(model, trace)``.
+    kept two neighbours together.
+
+    Every run's candidates are therefore prefixes of its subset in the
+    order, so its blocks are contiguous in the order and every precedence
+    pair it yields follows the order.  The closure of the pairs accumulated
+    so far then follows the order too and adds no constraint: a run's
+    output depends on its subset alone, not on which runs came before it.
+    A subset that holds no two neighbours in the order cannot join any, so
+    it is not searched; it counts as one block, which yields no precedence
+    pair, no trace row and no join.  The trace holds the rows of the
+    searched subsets in covering order.  Returns ``(model, trace)``.
     """
     cfg = cfg or SearchConfig()
     p = data.n_variables
@@ -309,14 +352,18 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
         return fit(data, cfg)
     cover = random_covering(p, h, n_subsets, seed)
     order = global_order(data)
+    rank = {v: r for r, v in enumerate(order)}
     trace: list[ScoreRecord] = []
     accumulated = PairOrderList.empty()
     runs: list[BlockOrdering] = []
     for subset in cover.subsets:
         closure = implied_constraints(accumulated)
-        constraints = {pair for pair in permutations(subset, 2) if pair in closure}
-        constraints |= set(combinations(sorted(subset, key=order.index), 2))
-        ordering = group_search(data.restrict(subset), subset, cfg, constraints, trace)
+        if len(_adjacent_ranks(rank, subset)) == 0:
+            ordering = BlockOrdering((subset,))
+        else:
+            constraints = {pair for pair in permutations(subset, 2) if pair in closure}
+            constraints |= set(combinations(sorted(subset, key=rank.__getitem__), 2))
+            ordering = group_search(data.restrict(subset), subset, cfg, constraints, trace)
         accumulated = merge_orders(accumulated, extract_pairs(ordering))
         runs.append(ordering)
-    return assemble_model(data, _order_cut(order, runs)), trace
+    return assemble_model(data, _order_cut(order, rank, runs)), trace

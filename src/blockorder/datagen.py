@@ -52,6 +52,8 @@ class GenSpec:
             raise InvalidInputError("need p >= 1")
         if self.n < 2:
             raise InvalidInputError("need n >= 2")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be >= 0")
         if self.mode not in MODES:
             raise InvalidInputError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "eq4_example" and self.p != 5:

@@ -70,6 +70,11 @@ class TestSimulate:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_negative_seed_exits_two(self, tmp_path):
+        code, lines = run_stderr(["simulate", "--p", 3, "--n", 100, "--seed", -1, "--mode", "chain",
+                                  "--output", tmp_path / "d.csv", "--truth", tmp_path / "t.json"])
+        assert (code, lines) == (2, ["blockorder: error: seed must be >= 0"])
+
     def test_p_required_outside_example_mode(self, tmp_path):
         code = run(["simulate", "--n", 20, "--mode", "chain",
                     "--output", tmp_path / "d.csv", "--truth", tmp_path / "t.json"])
@@ -126,6 +131,13 @@ class TestFit:
         assert code == 0
         model = json.loads(out.read_text())
         assert sorted(v for blk in model["blocks"] for v in blk) == list(range(6))
+
+    def test_negative_seed_exits_two_in_large_mode(self, example_csv, tmp_path):
+        large = ["fit", "--input", example_csv, "--output", tmp_path / "m.json", "--seed", -1]
+        code, lines = run_stderr(large + ["--mode", "large", "--h", 3, "--subsets", 1])
+        assert (code, lines) == (2, ["blockorder: error: seed must be >= 0"])
+        # exact mode draws no covering, so it ignores the seed
+        assert run_stderr(large) == (0, [])
 
     def test_fit_reruns_byte_identical(self, example_csv, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -349,13 +361,15 @@ class TestCliContract:
         mode=st.sampled_from(["exact", "large"]),
         h=st.integers(1, 4),
         subsets=st.integers(0, 3),
+        seed=st.sampled_from(["0", "0", "7", "-1", "-12"]),
     )
-    def test_fit_contract(self, tmp_path, text, delta, kneig, mode, h, subsets):
+    def test_fit_contract(self, tmp_path, text, delta, kneig, mode, h, subsets, seed):
         path = tmp_path / "in.csv"
         path.write_bytes(text)
         code, lines = run_stderr([
             "fit", "--input", path, "--output", tmp_path / "m.json", f"--delta={delta}",
             f"--kneig={kneig}", "--mode", mode, f"--h={h}", f"--subsets={subsets}",
+            f"--seed={seed}",
         ])
         assert code in (0, 1, 2)
         assert not any("Traceback" in line for line in lines)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from blockorder import (
     fit_large,
     generate_dataset,
 )
+from blockorder import covering
 from blockorder.covering import (
     PairOrderList,
     _order_cut,
@@ -30,6 +32,7 @@ from blockorder.covering import (
 )
 from blockorder.datagen import _power_noise
 from blockorder.search import group_search
+from blockorder.strengths import assemble_model
 
 
 def power_chain():
@@ -193,12 +196,138 @@ class TestGlobalOrder:
 
     def test_only_neighbours_in_the_order_join(self):
         runs = [BlockOrdering(((3, 1), (2,))), BlockOrdering(((0,), (1, 2)))]
-        assert _order_cut((3, 0, 1, 2), runs).to_lists() == [[3], [0], [1, 2]]
+        rank = {3: 0, 0: 1, 1: 2, 2: 3}
+        assert _order_cut((3, 0, 1, 2), rank, runs).to_lists() == [[3], [0], [1, 2]]
 
     def test_neighbour_rule_recovers_confounded_blocks(self):
         data, _ = generate_dataset(GenSpec(p=5, n=1000, seed=0, mode="eq4_example"))
         model, _ = fit_large(data, 4, 6, SearchConfig(delta=0.01), seed=2)
         assert model.ordering.to_lists() == [[0, 1], [2], [3, 4]]
+
+
+def plain_entropy(u):
+    """The entropy approximation as plain expressions, each term a fresh array."""
+    log_cosh = np.log(np.cosh(u)).mean(axis=-1, dtype=np.float64)
+    gauss = (u * np.exp(-0.5 * u * u)).mean(axis=-1, dtype=np.float64)
+    k1, k2, gamma = covering._K1, covering._K2, covering._GAMMA
+    return covering._ENTROPY_GAUSS - k1 * (log_cosh - gamma) ** 2 - k2 * gauss**2
+
+
+def plain_global_order(data):
+    """The order step with the plain chunk formula; returns (order, each step's scores)."""
+    x = np.array(data.values, dtype=np.float64)
+    n = data.n_samples
+    remaining = list(range(data.n_variables))
+    order, scores = [], []
+    while len(remaining) > 1:
+        m = len(remaining)
+        z = x[remaining]
+        sd = np.sqrt((z * z).mean(axis=1))
+        z /= np.where(sd > 0.0, sd, 1.0)[:, None]
+        corr = np.clip(z @ z.T / n, -1.0, 1.0)
+        a = 1.0 / np.sqrt(np.maximum(1.0 - corr * corr, 1e-12))
+        b = (corr * a).astype(np.float32)
+        a = a.astype(np.float32)
+        z32 = z.astype(np.float32)
+        h_resid = np.empty((m, m))
+        rows = max(1, covering._CHUNK_ELEMENTS // (m * n))
+        for lo in range(0, m, rows):
+            hi = min(m, lo + rows)
+            resid = a[lo:hi, :, None] * z32[lo:hi, None, :] - b[lo:hi, :, None] * z32[None, :, :]
+            h_resid[lo:hi] = plain_entropy(resid)
+        h = plain_entropy(z)
+        diff = h[None, :] + h_resid - h[:, None] - h_resid.T
+        np.fill_diagonal(diff, 0.0)
+        scores.append((np.minimum(diff, 0.0) ** 2).sum(axis=1))
+        order.append(remaining.pop(int(np.argmin(scores[-1]))))
+        top = x[order[-1]]
+        energy = top @ top
+        if energy > 0.0:
+            x[remaining] -= np.outer(x[remaining] @ top / energy, top)
+    order.extend(remaining)
+    return tuple(data.variable_ids[i] for i in order), scores
+
+
+class TestOrderStepBitIdentity:
+    """The in-place order step computes every value the plain expressions do."""
+
+    @staticmethod
+    def datasets():
+        data, _ = generate_dataset(GenSpec(p=7, n=40, seed=8, mode="chain_graph"))
+        # integer-valued, with variable 3 a copy of variable 1, so scores tie
+        tied = np.round(data.values)
+        tied[3] = tied[1]
+        return data, center(tied)
+
+    # with p=7 and n=40 one row of pairs is 280 values: the default chunk
+    # holds a whole step of several rows, 840 gives chunks of 3, 3 and then
+    # a partial last chunk of 1 row, and 100 is shorter than a single row
+    @pytest.mark.parametrize("chunk", [1 << 17, 840, 100])
+    def test_matches_plain_formula(self, chunk, monkeypatch):
+        monkeypatch.setattr(covering, "_CHUNK_ELEMENTS", chunk)
+        recorded = []
+        scores_of = covering._exogeneity_scores
+
+        def recording(z, buffers):
+            recorded.append(scores_of(z, buffers))
+            return recorded[-1]
+
+        monkeypatch.setattr(covering, "_exogeneity_scores", recording)
+        for data in self.datasets():
+            recorded.clear()
+            order, scores = plain_global_order(data)
+            assert global_order(data) == order
+            assert [s.tobytes() for s in recorded] == [s.tobytes() for s in scores]
+
+    def test_tied_scores_go_to_the_smaller_id(self):
+        _, tied = self.datasets()
+        _, scores = plain_global_order(tied)
+        assert scores[0][1] == scores[0][3]
+        order = global_order(tied)
+        assert order.index(1) < order.index(3)
+
+
+def has_order_neighbours(order, subset):
+    return any(abs(order.index(u) - order.index(v)) == 1 for u, v in combinations(subset, 2))
+
+
+def search_every_subset(data, h, n_subsets, seed, cfg):
+    """Covering mode with every drawn subset searched under the order's constraints alone.
+
+    Returns the model, the order and each subset with its own trace rows.
+    """
+    order = global_order(data)
+    runs, traces = [], []
+    for subset in random_covering(data.n_variables, h, n_subsets, seed).subsets:
+        rows = []
+        constraints = set(combinations(sorted(subset, key=order.index), 2))
+        runs.append(group_search(data.restrict(subset), subset, cfg, constraints, rows))
+        traces.append((subset, rows))
+    rank = {v: r for r, v in enumerate(order)}
+    return assemble_model(data, _order_cut(order, rank, runs)), order, traces
+
+
+class TestSkipRule:
+    """Skipping the subsets without two order neighbours leaves the model unchanged."""
+
+    @pytest.mark.parametrize("p", [12, 30])
+    @pytest.mark.parametrize("h", [3, 4, 5])
+    def test_matches_searching_every_subset(self, p, h):
+        cfg = SearchConfig(delta=0.01)
+        searched = skipped = joined = 0
+        for seed in range(4):
+            data, _ = generate_dataset(GenSpec(p=p, n=200, seed=seed, mode="chain_graph"))
+            model, trace = fit_large(data, h, 12, cfg, seed)
+            expected, order, traces = search_every_subset(data, h, 12, seed, cfg)
+            assert model.ordering == expected.ordering
+            assert model.b.tobytes() == expected.b.tobytes()
+            kept = [has_order_neighbours(order, subset) for subset, _ in traces]
+            assert trace == [row for keep, (_, rows) in zip(kept, traces) if keep for row in rows]
+            searched += sum(kept)
+            skipped += len(kept) - sum(kept)
+            joined += len(model.ordering) < p
+        # both kinds of subset occur, and some fit keeps two neighbours together
+        assert searched and skipped and joined
 
 
 class TestFitLarge:
