@@ -4,22 +4,22 @@ The mutual-information estimator spends essentially all of its time finding
 per-point k-th neighbor distances and counting marginal neighbors under the
 max norm.  Both kernels compute the pairwise distances exactly, one row block
 at a time.  A block is sized to stay in a core's L2 cache, and its distance
-buffers are allocated once per call and reused for every block, so the loop
-itself allocates nothing; the block size never changes a result.
+buffers are allocated once per row range and reused for every block, so the
+loop itself allocates nothing; the block size never changes a result.
 
 A call with at least two row blocks splits its rows into contiguous ranges,
 one per core in the process's affinity mask (``os.sched_getaffinity``): the
-calling thread computes the first range and a thread pool the others.  Each
-range works in its own buffers, which the calling thread allocates; together
-they hold one block, so scratch memory does not grow with the core count.
-Every output row is written by one thread with the same arithmetic, so the
-results are bit-identical for any core count, and there is no setting for
-it.  A call with a single row block (n <= 256) runs serially on the calling
-thread and never starts the pool.
+calling thread computes the first range and a thread pool the others.  The
+pool is created with the module and starts its threads on the first call that
+splits.  Each range allocates its own buffers; together they hold one block,
+so scratch memory does not grow with the core count.  Every output row is
+written by one thread with the same arithmetic, so the results are
+bit-identical for any core count, and there is no setting for it.  A call
+with a single row block (n <= 256) runs serially on the calling thread and
+never touches the pool.
 """
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -28,32 +28,17 @@ import numpy as np
 _CHUNK_FLOATS = 65_536
 # threads besides the caller's
 _WORKERS = len(os.sched_getaffinity(0)) - 1
-# created by the first call that splits, so importing starts no thread
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def _reset_after_fork():
-    # a forked child inherits the pool but none of its threads, so work
-    # queued on it there would never run
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_reset_after_fork)
-
-
-def _executor():
+def _start_pool():
+    # an executor starts a thread only when work is submitted to it; a forked
+    # child inherits the pool but none of its threads, so it needs a new one
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS, thread_name_prefix="blockorder-kernels")
-        return _pool
+    _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="blockorder-kernels")
 
 
-def _block_rows(n):
-    return max(1, _CHUNK_FLOATS // max(n, 1))
+_start_pool()
+os.register_at_fork(after_in_child=_start_pool)
 
 
 def _chebyshev_block(block, pts, dist, tmp):
@@ -71,58 +56,57 @@ def _chebyshev_block(block, pts, dist, tmp):
     return dist
 
 
-def _distance_blocks(cols, start, stop, dist_buf, tmp_buf):
+def _distance_blocks(cols, start, stop, rows):
     """Yield ``(lo, hi, dist)`` over row blocks of the points ``start:stop``.
 
     ``cols`` is the coordinate-major (d, n) point set; ``dist`` holds the
-    distances from points ``lo:hi`` to all points.  It is a view of
-    ``dist_buf``, whose row count is the block size, so the next block
-    overwrites it and a caller may reorder it in place.
+    distances from points ``lo:hi`` (at most ``rows`` of them) to all points.
+    It is a view of one buffer allocated for the whole range, so the next
+    block overwrites it and a caller may reorder it in place.
     """
-    step = len(dist_buf)
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
+    shape = (min(rows, stop - start), cols.shape[1])
+    dist_buf, tmp_buf = np.empty(shape), np.empty(shape)
+    for lo in range(start, stop, rows):
+        hi = min(lo + rows, stop)
         yield lo, hi, _chebyshev_block(cols[:, lo:hi], cols, dist_buf[: hi - lo], tmp_buf[: hi - lo])
 
 
-def _kth_rows(cols, k, out, start, stop, dist_buf, tmp_buf):
-    for lo, hi, dist in _distance_blocks(cols, start, stop, dist_buf, tmp_buf):
+def _kth_rows(cols, k, out, start, stop, rows):
+    for lo, hi, dist in _distance_blocks(cols, start, stop, rows):
         dist.partition(k, axis=1)
         out[lo:hi] = dist[:, k]
 
 
-def _count_rows(cols, radii, out, start, stop, dist_buf, tmp_buf, inside_buf):
-    for lo, hi, dist in _distance_blocks(cols, start, stop, dist_buf, tmp_buf):
+def _count_rows(cols, radii, out, start, stop, rows):
+    inside_buf = np.empty((min(rows, stop - start), cols.shape[1]), dtype=bool)
+    for lo, hi, dist in _distance_blocks(cols, start, stop, rows):
         inside = np.less(dist, radii[lo:hi, None], out=inside_buf[: hi - lo])
         inside.sum(axis=1, out=out[lo:hi])
 
 
-def _split_rows(points, rows_fn, args, buffer_dtypes):
-    """Run ``rows_fn(cols, *args, start, stop, *buffers)`` over every row.
+def _split_rows(points, rows_fn, *args):
+    """Run ``rows_fn(cols, *args, start, stop, rows)`` over every row.
 
     The n rows of the (n, d) ``points`` are cut into one contiguous range
-    per core, but never into more ranges than they have row blocks.  The
-    ranges share one block's worth of scratch: each gets a buffer of each of
-    ``buffer_dtypes`` with ``1/ranges`` of a block's rows, so memory does
-    not grow with the core count.  The first range runs on the calling
-    thread, the others on the pool, and the call returns once all are done.
+    per core, but never into more ranges than they have row blocks.  Each
+    range works through blocks of ``rows`` rows, ``1/ranges`` of a block, so
+    the ranges' scratch together holds one block whatever the core count.
+    The first range runs on the calling thread, the others on the pool, and
+    the call returns once all are done.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("points must be a 2-d (n, d) array")
     cols = np.ascontiguousarray(pts.T)
     n = cols.shape[1]
-    step = _block_rows(n)
+    step = max(1, _CHUNK_FLOATS // max(n, 1))
     parts = min(-(-n // step), _WORKERS + 1)
     rows = -(-step // parts)
     bounds = [n * i // parts for i in range(parts + 1)]
-    calls = []
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        buffers = [np.empty((min(rows, stop - start), n), dtype=dtype) for dtype in buffer_dtypes]
-        calls.append((cols, *args, start, stop, *buffers))
-    futures = [_executor().submit(rows_fn, *call) for call in calls[1:]]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    futures = [_pool.submit(rows_fn, cols, *args, start, stop, rows) for start, stop in ranges[1:]]
     try:
-        rows_fn(*calls[0])
+        rows_fn(cols, *args, *ranges[0], rows)
     finally:
         # the workers write into the caller's arrays: never return before them
         wait(futures)
@@ -137,14 +121,14 @@ def kth_neighbor_distance(points, k):
     k-th neighbor is the element of rank k in the sorted distance row.
     """
     out = np.empty(len(points), dtype=np.float64)
-    _split_rows(points, _kth_rows, (k, out), (np.float64, np.float64))
+    _split_rows(points, _kth_rows, k, out)
     return out
 
 
 def count_within(points, radii):
     """Count, per point, the other points strictly inside its max-norm radius."""
     out = np.empty(len(radii), dtype=np.int64)
-    _split_rows(points, _count_rows, (radii, out), (np.float64, np.float64, bool))
+    _split_rows(points, _count_rows, radii, out)
     # self (distance 0) is inside only a positive radius; tied data can give
     # a radius of 0
     out -= radii > 0

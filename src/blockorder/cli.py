@@ -149,6 +149,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.trials < 1:
+        raise InvalidInputError("--trials must be >= 1")
     cfg = SearchConfig(delta=_parse_delta(args.delta))
     mode = _CLI_MODES[args.mode]
     report_path = Path(args.report)
@@ -176,8 +178,15 @@ def _cmd_benchmark(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error for ``main`` to report in one line, without the usage block."""
+
+    def error(self, message):
+        raise InvalidInputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="blockorder",
         description="Estimate ordered blocks of variables from non-Gaussian data.",
     )
@@ -219,9 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InvalidInputError, SearchTooLargeError, OSError, UnicodeDecodeError) as exc:
         print(f"blockorder: error: {exc}", file=sys.stderr)

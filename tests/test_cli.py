@@ -174,6 +174,34 @@ class TestBenchmark:
         row = report.read_text().splitlines()[1].split(",")
         assert row[0] == "0" and row[5] == "0"
 
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_exits_two(self, trials, tmp_path):
+        code, lines = run_stderr(["benchmark", "--p", 4, "--n", 100, "--trials", trials,
+                                  "--report", tmp_path / "r.csv"])
+        assert (code, lines) == (2, ["blockorder: error: --trials must be >= 1"])
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestUsageErrors:
+    """A usage error is one line and exit 2, from ``main`` itself."""
+
+    @pytest.mark.parametrize("args,message", [
+        (["fit", "--output", "m.json"], "the following arguments are required: --input"),
+        (["simulate", "--output", "d.csv", "--truth", "t.json"],
+         "the following arguments are required: --n"),
+        (["benchmark", "--p", 3, "--n", 100], "the following arguments are required: --report"),
+        (["fit", "--input", "d.csv", "--output", "m.json", "--h", "abc"],
+         "argument --h: invalid int value: 'abc'"),
+    ])
+    def test_one_line_exit_two(self, args, message):
+        assert run_stderr(args) == (2, [f"blockorder: error: {message}"])
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["fit", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: blockorder fit")
+
 
 class TestEstimationFailure:
     def test_estimation_error_exits_one(self, example_csv, tmp_path, capsys, monkeypatch):
@@ -359,9 +387,9 @@ class TestCliContract:
                                "nan", "abc"]),
         kneig=st.sampled_from(["auto", "auto", "auto", "auto", "1", "3", "0", "100", "k"]),
         mode=st.sampled_from(["exact", "large"]),
-        h=st.integers(1, 4),
-        subsets=st.integers(0, 3),
-        seed=st.sampled_from(["0", "0", "7", "-1", "-12"]),
+        h=st.sampled_from(["1", "2", "3", "4", "2.5"]),
+        subsets=st.sampled_from(["0", "1", "2", "3", "x"]),
+        seed=st.sampled_from(["0", "0", "7", "-1", "-12", "1e3"]),
     )
     def test_fit_contract(self, tmp_path, text, delta, kneig, mode, h, subsets, seed):
         path = tmp_path / "in.csv"

@@ -4,7 +4,9 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -144,14 +146,22 @@ def _brute_force(pts, k, radii):
     return np.sort(dist, axis=1)[:, k], inside.sum(axis=1) - np.diag(inside)
 
 
+class _CountingPool(ThreadPoolExecutor):
+    submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return super().submit(*args, **kwargs)
+
+
 @pytest.fixture
 def three_workers(monkeypatch):
-    """The kernels split rows four ways, on a fresh pool, whatever the core count."""
+    """The kernels split rows four ways, on a fresh pool that counts its submits."""
+    pool = _CountingPool(3)
     monkeypatch.setattr(_kernels, "_WORKERS", 3)
-    monkeypatch.setattr(_kernels, "_pool", None)
-    yield
-    if _kernels._pool is not None:
-        _kernels._pool.shutdown()
+    monkeypatch.setattr(_kernels, "_pool", pool)
+    yield pool
+    pool.shutdown()
 
 
 class TestKernelsAgainstBruteForce:
@@ -189,12 +199,12 @@ class TestKernelsAgainstBruteForce:
     @pytest.mark.parametrize("chunk_rows", [40, 5, 1])
     def test_split_rows_bit_identical(self, d, ties, chunk_rows, monkeypatch, three_workers):
         self.check(d, ties, chunk_rows, monkeypatch)
-        assert _kernels._pool is not None  # the rows were split
+        assert three_workers.submits > 0  # the rows were split
 
     @pytest.mark.parametrize("n,split", [(256, False), (257, True)])
     def test_only_multi_block_calls_split(self, n, split, three_workers):
         _kernels.kth_neighbor_distance(np.random.default_rng(n).standard_normal((n, 2)), 3)
-        assert (_kernels._pool is not None) == split
+        assert (three_workers.submits > 0) == split
 
     def test_scratch_memory_is_bounded(self):
         # the kernels work through cache-sized row blocks in reused buffers;
@@ -210,7 +220,7 @@ class TestKernelsAgainstBruteForce:
         assert peak < 8 * 2**20
 
     def test_scratch_memory_is_bounded_when_split(self, three_workers):
-        # the ranges share one block's worth of scratch
+        # each range allocates its own scratch, one block's worth in all
         self.test_scratch_memory_is_bounded()
 
 
@@ -220,7 +230,7 @@ def test_forked_child_runs_split_kernels(three_workers):
     pts = np.random.default_rng(3).standard_normal((2000, 3))
     radii = _kernels.kth_neighbor_distance(pts, 20)
     counts = _kernels.count_within(pts[:, :2], radii)
-    assert _kernels._pool is not None
+    assert three_workers.submits > 0
     pid = os.fork()
     if pid == 0:  # child: never return into pytest
         code = 1
@@ -234,6 +244,39 @@ def test_forked_child_runs_split_kernels(three_workers):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestFailingRange:
+    """A failing range reaches the caller, but only once every range is done."""
+
+    @staticmethod
+    def split(rows_fn):
+        # 1000 rows are 16 blocks, so four ranges: the caller's starts at 0
+        _kernels._split_rows(np.zeros((1000, 1)), rows_fn)
+
+    def test_caller_failure_waits_for_workers(self, three_workers):
+        finished = []
+
+        def rows_fn(cols, start, stop, rows):
+            if start == 0:
+                raise RuntimeError("caller's range failed")
+            if stop == cols.shape[1]:
+                time.sleep(0.2)
+                finished.append(start)
+
+        with pytest.raises(RuntimeError, match="caller's range failed"):
+            self.split(rows_fn)
+        # the workers write into the caller's arrays, so they must be done
+        assert finished == [750]
+
+    def test_worker_failure_reaches_caller(self, three_workers):
+        def rows_fn(cols, start, stop, rows):
+            if stop == cols.shape[1]:
+                raise ValueError("last range failed")
+
+        with pytest.raises(ValueError, match="last range failed"):
+            self.split(rows_fn)
+        assert three_workers.submits == 3
 
 
 def _run_with_package(code):
@@ -251,5 +294,6 @@ def test_import_does_not_load_scipy_spatial():
 
 
 def test_import_starts_no_thread():
-    # the kernels' thread pool starts with the first call that splits rows
+    # the kernels' pool is created with the module but starts its threads
+    # with the first call that splits rows
     assert _run_with_package("import threading, blockorder; print(threading.active_count())") == "1"
