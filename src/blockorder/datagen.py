@@ -62,6 +62,8 @@ class GenSpec:
 
 def derive_seed(seed: int, index: int) -> int:
     """Child seed for trial ``index``, splitmix-style, collision-resistant."""
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     x = (int(seed) ^ (int(index) * 0x9E3779B97F4A7C15)) & _MASK64
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInputError, SingularMatrixError
 
@@ -101,25 +100,28 @@ def covariance(data: DataMatrix) -> np.ndarray:
 def _solve_spd(sigma_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve sigma_s @ B = rhs via Cholesky, ridging only ill-conditioned inputs.
 
-    A block whose condition number is not at most COND_LIMIT gets a ridge of
-    RIDGE_SCALE times its mean eigenvalue on the diagonal.  For an m-by-m
-    positive semidefinite block that caps the condition number near
-    ``1 + m / RIDGE_SCALE`` (the largest eigenvalue is at most the trace),
-    far below COND_LIMIT, so the condition is checked once.  A block that
-    still fails to factor, such as one with zero trace or with entries
-    that overflowed, raises SingularMatrixError.
+    A block with a NaN or infinite entry, such as one whose entries
+    overflowed, raises SingularMatrixError.  A block whose condition number
+    is not at most COND_LIMIT gets a ridge of RIDGE_SCALE times its mean
+    eigenvalue on the diagonal.  For an m-by-m positive semidefinite block
+    that caps the condition number near ``1 + m / RIDGE_SCALE`` (the largest
+    eigenvalue is at most the trace), far below COND_LIMIT, so the condition
+    is checked once.  A block that still fails to factor, such as one with
+    zero trace, raises SingularMatrixError.
     """
     m = sigma_s.shape[0]
+    if not np.all(np.isfinite(sigma_s)):
+        raise SingularMatrixError(f"covariance block of size {m} has non-finite entries")
     if not np.linalg.cond(sigma_s) <= COND_LIMIT:
         ridge = RIDGE_SCALE * float(np.trace(sigma_s)) / m
         sigma_s = sigma_s + ridge * np.eye(m)
     try:
-        factor = scipy.linalg.cho_factor(sigma_s, lower=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN entries
+        lower = np.linalg.cholesky(sigma_s)
+    except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(
             f"covariance block of size {m} cannot be factored even after diagonal regularization"
         ) from exc
-    return scipy.linalg.cho_solve(factor, rhs)
+    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
 
 
 def regress_on(data: DataMatrix, subset: Iterable[int]):

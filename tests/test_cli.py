@@ -181,6 +181,12 @@ class TestBenchmark:
         assert (code, lines) == (2, ["blockorder: error: --trials must be >= 1"])
         assert list(tmp_path.iterdir()) == []
 
+    def test_negative_seed_exits_two(self, tmp_path):
+        code, lines = run_stderr(["benchmark", "--p", 3, "--n", 100, "--trials", 1, "--seed", -1,
+                                  "--report", tmp_path / "r.csv"])
+        assert (code, lines) == (2, ["blockorder: error: seed must be >= 0"])
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestUsageErrors:
     """A usage error is one line and exit 2, from ``main`` itself."""

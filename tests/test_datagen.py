@@ -174,3 +174,8 @@ class TestDeriveSeed:
     def test_seed_and_index_both_matter(self):
         assert derive_seed(1, 0) != derive_seed(2, 0)
         assert derive_seed(1, 0) != derive_seed(1, 1)
+
+    def test_negative_seed_rejected(self):
+        # masking it to 64 bits would silently turn -1 into 2**64 - 1
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            derive_seed(-1, 0)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from blockorder import DataMatrix, InvalidInputError, SingularMatrixError, center
-from blockorder.linalg import covariance, regress_on, residualize
+from blockorder.linalg import COND_LIMIT, RIDGE_SCALE, _solve_spd, covariance, regress_on, residualize
 
 
 def naive_covariance(x):
@@ -197,3 +198,42 @@ class TestRegressOn:
         coef, resid = regress_on(data, (0,))
         assert abs(coef[0, 0] - 1.5) < 0.02
         assert resid.variable_ids == (1,)
+
+
+class TestSolveSpd:
+    """The Cholesky solve against scipy's, on covariance blocks of random data."""
+
+    @staticmethod
+    def blocks(m, duplicate, seed):
+        """(sigma_s, rhs, x_s): m predictors, 3 responses that depend on them, n=400."""
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((m + 3, 400))
+        raw[m:] += rng.standard_normal((3, m)) @ raw[:m]
+        if duplicate:  # a scaled copy of another predictor makes the block singular
+            raw[m - 1] = rng.uniform(0.5, 2.0) * raw[rng.integers(m - 1)]
+        data = center(raw)
+        cov = covariance(data)
+        return cov[:m, :m], cov[:m, m:], data.values[:m]
+
+    @pytest.mark.parametrize("m", [*range(1, 16), 99])
+    def test_well_conditioned_matches_cho_solve(self, m):
+        for seed in range(5):
+            sigma_s, rhs, _ = self.blocks(m, False, seed)
+            assert np.linalg.cond(sigma_s) <= COND_LIMIT
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sigma_s, lower=True), rhs)
+            got = _solve_spd(sigma_s, rhs)
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("m", [*range(2, 16), 99])
+    def test_ridged_fit_matches_cho_solve(self, m):
+        # A ridged block's condition number is about m / RIDGE_SCALE, so the
+        # coefficient split between the two copies is only determined to about
+        # 1e-8; the fitted values beta^T x_S, from which residuals are formed,
+        # are determined to rounding.
+        for seed in range(5):
+            sigma_s, rhs, x_s = self.blocks(m, True, seed)
+            assert not np.linalg.cond(sigma_s) <= COND_LIMIT
+            ridged = sigma_s + RIDGE_SCALE * np.trace(sigma_s) / m * np.eye(m)
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridged, lower=True), rhs).T @ x_s
+            got = _solve_spd(sigma_s, rhs).T @ x_s
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

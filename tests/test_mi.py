@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
+from scipy.special import digamma
 
 from blockorder import DegenerateInputError, InvalidInputError, SearchConfig, center
 from blockorder import _kernels
-from blockorder.mi import mutual_information
+from blockorder.mi import _digamma_table, mutual_information
 from blockorder.search import find_most_exogenous
 
 
@@ -87,6 +88,12 @@ class TestOracles:
     def test_functional_dependence_saturates(self):
         x = np.random.default_rng(3).standard_normal(1000)
         assert mutual_information(x, x, 50) >= 2.0
+
+    def test_digamma_table_matches_scipy(self):
+        table = _digamma_table(5000)
+        reference = digamma(np.arange(1.0, 5001.0))
+        assert np.array_equal(table[:10], reference[:10])
+        assert np.abs(table / reference - 1.0).max() < 1e-13
 
 
 class TestInvariances:
@@ -288,9 +295,28 @@ def _run_with_package(code):
     return proc.stdout.strip()
 
 
-def test_import_does_not_load_scipy_spatial():
-    # scipy.spatial costs several MiB resident; the kernels do without it
-    assert _run_with_package("import sys, blockorder; print('scipy.spatial' in sys.modules)") == "False"
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy would add hundreds of
+    # modules to every process start
+    code = "import sys, blockorder.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert _run_with_package(code) == "[]"
+
+
+def test_fits_with_scipy_blocked(tmp_path):
+    # an import of any scipy module raises ImportError in this process
+    code = f"""
+import sys
+sys.modules["scipy"] = None
+from blockorder.cli import main
+d = {str(tmp_path)!r}
+for name, sim, fit in [
+    ("eq4", ["--mode", "eq4", "--n", "400"], []),
+    ("chain", ["--mode", "chain", "--p", "12", "--n", "300"], ["--mode", "large", "--subsets", "10"]),
+]:
+    assert main(["simulate", *sim, "--output", f"{{d}}/{{name}}.csv", "--truth", f"{{d}}/{{name}}_truth.json"]) == 0
+    print(main(["fit", "--input", f"{{d}}/{{name}}.csv", "--output", f"{{d}}/{{name}}_model.json", *fit]))
+"""
+    assert _run_with_package(code).split() == ["0", "0"]
 
 
 def test_import_starts_no_thread():
