@@ -348,6 +348,8 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
         raise InvalidInputError(f"need 2 <= h <= min(p, MAX_EXACT_P) = {min(p, MAX_EXACT_P)}, got h={h}")
     if n_subsets < 1:
         raise InvalidInputError("need at least one subset")
+    if seed < 0:
+        raise InvalidInputError("seed must be >= 0")
     if h == p:
         return fit(data, cfg)
     cover = random_covering(p, h, n_subsets, seed)

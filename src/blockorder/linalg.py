@@ -98,30 +98,24 @@ def covariance(data: DataMatrix) -> np.ndarray:
 
 
 def _solve_spd(sigma_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve sigma_s @ B = rhs via Cholesky, ridging only ill-conditioned inputs.
+    """Solve sigma_s @ B = rhs through one symmetric eigendecomposition.
 
-    A block with a NaN or infinite entry, such as one whose entries
-    overflowed, raises SingularMatrixError.  A block whose condition number
-    is not at most COND_LIMIT gets a ridge of RIDGE_SCALE times its mean
-    eigenvalue on the diagonal.  For an m-by-m positive semidefinite block
-    that caps the condition number near ``1 + m / RIDGE_SCALE`` (the largest
-    eigenvalue is at most the trace), far below COND_LIMIT, so the condition
-    is checked once.  A block that still fails to factor, such as one with
-    zero trace, raises SingularMatrixError.
+    A block with a NaN or infinite entry raises SingularMatrixError.  A block
+    whose largest eigenvalue is not at most COND_LIMIT times its smallest
+    (for a positive semidefinite block: whose condition number exceeds
+    COND_LIMIT) gets RIDGE_SCALE times its mean eigenvalue added to every
+    eigenvalue.  One whose smallest eigenvalue is still not positive, such as
+    an all-zero block, raises SingularMatrixError.
     """
     m = sigma_s.shape[0]
     if not np.all(np.isfinite(sigma_s)):
         raise SingularMatrixError(f"covariance block of size {m} has non-finite entries")
-    if not np.linalg.cond(sigma_s) <= COND_LIMIT:
-        ridge = RIDGE_SCALE * float(np.trace(sigma_s)) / m
-        sigma_s = sigma_s + ridge * np.eye(m)
-    try:
-        lower = np.linalg.cholesky(sigma_s)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"covariance block of size {m} cannot be factored even after diagonal regularization"
-        ) from exc
-    return np.linalg.solve(lower.T, np.linalg.solve(lower, rhs))
+    lam, vec = np.linalg.eigh(sigma_s)
+    if not lam[-1] <= COND_LIMIT * lam[0]:
+        lam = lam + RIDGE_SCALE * float(np.trace(sigma_s)) / m
+    if not lam[0] > 0.0:
+        raise SingularMatrixError(f"covariance block of size {m} is singular even with a ridge")
+    return vec @ ((vec.T @ rhs) / lam[:, None])
 
 
 def regress_on(data: DataMatrix, subset: Iterable[int]):
@@ -129,17 +123,18 @@ def regress_on(data: DataMatrix, subset: Iterable[int]):
 
     Returns ``(coef, residuals)`` where ``coef[t, s]`` is the weight of the
     s-th subset variable in the t-th remaining variable, and ``residuals`` is
-    a DataMatrix over the remaining variables in their original order.
+    a DataMatrix over the remaining variables in their original order.  An
+    x_S block that ``_solve_spd`` cannot solve raises SingularMatrixError.
     """
     s_set = {int(i) for i in subset}
     s_ids = tuple(sorted(s_set))
     s_pos = _rows(data, s_ids)
     if not 0 < len(s_ids) < data.n_variables:
         raise InvalidInputError("subset must be a non-empty proper subset of the variables")
-    rest_ids = tuple(i for i in data.variable_ids if i not in s_set)
-    rest_pos = _rows(data, rest_ids)
-    cov = covariance(data)
-    beta = _solve_spd(cov[np.ix_(s_pos, s_pos)], cov[np.ix_(s_pos, rest_pos)])  # (|S|, |rest|)
+    rest_pos = [r for r, v in enumerate(data.variable_ids) if v not in s_set]
+    rest_ids = tuple(data.variable_ids[r] for r in rest_pos)
+    cross = covariance(data)[s_pos]
+    beta = _solve_spd(cross[:, s_pos], cross[:, rest_pos])  # (|S|, |rest|)
     resid = data.values[rest_pos] - beta.T @ data.values[s_pos]
     return beta.T, _derived(resid, rest_ids)
 

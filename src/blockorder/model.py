@@ -39,9 +39,6 @@ class BlockOrdering:
         if len(set(flat)) != len(flat):
             raise InvalidInputError("blocks must be pairwise disjoint")
 
-    def __iter__(self):
-        return iter(self.blocks)
-
     def __len__(self):
         return len(self.blocks)
 

@@ -18,7 +18,7 @@ from .errors import DegenerateInputError, InvalidInputError, SearchTooLargeError
 from .linalg import DataMatrix, residualize
 from .mi import mutual_information
 from .model import BlockOrdering
-from .strengths import assemble_model
+from .strengths import COLLINEAR_RTOL, assemble_model
 
 DEFAULT_DELTA = 1e-2
 # Largest working set the exact search enumerates (2^p - 2 candidates).
@@ -46,19 +46,23 @@ class ScoreRecord(NamedTuple):
 
 
 def independence_score(data: DataMatrix, subset, k: int) -> float:
-    """MI between x_S and the residuals of the remaining variables on x_S."""
+    """MI between x_S and the residuals of the remaining variables on x_S.
+
+    A row of either whose standard deviation is at most ``COLLINEAR_RTOL``
+    times the same variable's in ``data`` raises ``DegenerateInputError``.
+    """
     s_ids = tuple(sorted(int(i) for i in subset))
     resid = residualize(data, s_ids)
     x_s = data.restrict(s_ids)
-    try:
-        return mutual_information(x_s.values, resid.values, k)
-    except DegenerateInputError as exc:
-        flat = [i for part in (x_s, resid)
-                for i, std in zip(part.variable_ids, part.values.std(axis=1)) if not std > 0.0]
+    floor = dict(zip(data.variable_ids, COLLINEAR_RTOL * data.values.std(axis=1)))
+    flat = [i for part in (x_s, resid)
+            for i, std in zip(part.variable_ids, part.values.std(axis=1)) if not std > floor[i]]
+    if flat:
         raise DegenerateInputError(
             f"zero variance for variable(s) {flat} when scoring candidate {list(s_ids)}: "
             "exactly collinear with the variables regressed out of them"
-        ) from exc
+        )
+    return mutual_information(x_s.values, resid.values, k)
 
 
 def enumerate_candidates(

@@ -371,6 +371,12 @@ class TestFitLarge:
         model, _ = fit_large(data, 4, 8, SearchConfig(delta=0.01), seed=2)
         assert model.ordering.is_partition_of(range(10))
 
+    def test_rejects_negative_seed_when_h_is_p(self):
+        # h == p runs the exact search and draws no covering, yet still checks the seed
+        data = center(np.random.default_rng(1).standard_normal((5, 50)))
+        with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+            fit_large(data, h=5, n_subsets=2, seed=-1)
+
     def test_rejects_h_above_guard(self):
         data = center(np.random.default_rng(1).standard_normal((17, 50)))
         with pytest.raises(InvalidInputError):

@@ -201,7 +201,7 @@ class TestRegressOn:
 
 
 class TestSolveSpd:
-    """The Cholesky solve against scipy's, on covariance blocks of random data."""
+    """The eigendecomposition solve against scipy's Cholesky, on covariance blocks of random data."""
 
     @staticmethod
     def blocks(m, duplicate, seed):
@@ -237,3 +237,58 @@ class TestSolveSpd:
             expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridged, lower=True), rhs).T @ x_s
             got = _solve_spd(sigma_s, rhs).T @ x_s
             assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @staticmethod
+    def spectral_blocks(rng, eigenvalues):
+        """(sigma_s, rhs, x_s) as in ``blocks``, for predictors whose covariance
+        has the given eigenvalues in a random orthogonal basis."""
+        m, n = len(eigenvalues), 400
+        basis = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        scores = np.linalg.qr(rng.standard_normal((n, m)))[0].T * np.sqrt(n)
+        x = (basis * np.sqrt(eigenvalues)) @ scores
+        y = rng.standard_normal((3, m)) @ x + 0.3 * rng.standard_normal((3, n))
+        data = center(np.vstack([x, y]))
+        cov = covariance(data)
+        return cov[:m, :m], cov[:m, m:], data.values[:m]
+
+    @staticmethod
+    def references(sigma_s, rhs, x_s):
+        """Fitted values of the unridged and of the ridged Cholesky solve."""
+        m = len(sigma_s)
+        ridged = sigma_s + RIDGE_SCALE * np.trace(sigma_s) / m * np.eye(m)
+        return [scipy.linalg.cho_solve(scipy.linalg.cho_factor(s, lower=True), rhs).T @ x_s
+                for s in (sigma_s, ridged)]
+
+    @pytest.mark.parametrize("m", range(2, 16))
+    @pytest.mark.parametrize("cond,ridged", [(1e11, False), (1e13, True)])
+    def test_fit_either_side_of_the_limit(self, m, cond, ridged):
+        # At condition number 1e11 the normal equations fix the fitted values
+        # only to about cond * eps (2e-5); the two solves agree to 6e-7 here,
+        # and ridging or not moves the fitted values by more than 3e-3.
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            sigma_s, rhs, x_s = self.spectral_blocks(rng, np.logspace(0, -np.log10(cond), m))
+            assert (np.linalg.cond(sigma_s) <= COND_LIMIT) != ridged
+            expected = self.references(sigma_s, rhs, x_s)[ridged]
+            got = _solve_spd(sigma_s, rhs).T @ x_s
+            assert np.abs(got - expected).max() <= 1e-5 * np.abs(expected).max()
+
+    def test_ridges_exactly_the_blocks_cond_would(self):
+        # Each fit lies far closer to one reference than to the other, so the
+        # nearer one tells which branch the solve took.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            m, log_cond = int(rng.integers(2, 16)), rng.uniform(9, 15)
+            inner = 10.0 ** -rng.uniform(0, log_cond, m - 2)
+            eigenvalues = np.concatenate(([1.0, 10.0 ** -log_cond], inner))
+            sigma_s, rhs, x_s = self.spectral_blocks(rng, eigenvalues)
+            got = _solve_spd(sigma_s, rhs).T @ x_s
+            unridged, ridged = (np.abs(got - ref).max() for ref in self.references(sigma_s, rhs, x_s))
+            assert (ridged < unridged) == (not np.linalg.cond(sigma_s) <= COND_LIMIT)
+
+    @pytest.mark.parametrize("entry", [0.0, np.nan])
+    def test_zero_or_nan_block_raises(self, entry):
+        sigma_s = np.zeros((3, 3))
+        sigma_s[1, 1] = entry
+        with pytest.raises(SingularMatrixError):
+            _solve_spd(sigma_s, np.ones((3, 2)))

@@ -7,6 +7,7 @@ import pytest
 
 from blockorder import (
     DataMatrix,
+    DegenerateInputError,
     GenSpec,
     InvalidInputError,
     SearchConfig,
@@ -71,6 +72,15 @@ class TestIndependenceScore:
         data = center(np.vstack([_power_noise(rng, 2000, 2.0), _power_noise(rng, 2000, 2.0)]))
         assert abs(independence_score(data, (0,), 100)) < 0.02
         assert abs(independence_score(data, (1,), 100)) < 0.02
+
+    def test_rounding_sized_residual_is_collinear(self):
+        # x1 is 3 x0 plus noise 1e-12 of its scale: not exactly collinear, but
+        # a residual that small relative to x1 is rounding, not data
+        rng = np.random.default_rng(2)
+        x0 = rng.standard_normal(200)
+        data = center(np.vstack([x0, 3.0 * x0 + 1e-12 * rng.standard_normal(200), rng.standard_normal(200)]))
+        with pytest.raises(DegenerateInputError, match=r"variable\(s\) \[1\] when scoring candidate \[0\]"):
+            independence_score(data, (0,), 10)
 
 
 class TestFindMostExogenous:
