@@ -59,8 +59,9 @@ def independence_score(data: DataMatrix, subset, k: int) -> float:
             for i, std in zip(part.variable_ids, part.values.std(axis=1)) if not std > floor[i]]
     if flat:
         raise DegenerateInputError(
-            f"zero variance for variable(s) {flat} when scoring candidate {list(s_ids)}: "
-            "exactly collinear with the variables regressed out of them"
+            f"standard deviation at most {COLLINEAR_RTOL:g} of the variable's own for variable(s) "
+            f"{flat} when scoring candidate {list(s_ids)}: up to rounding, a linear function of "
+            "the variables regressed out of them"
         )
     return mutual_information(x_s.values, resid.values, k)
 

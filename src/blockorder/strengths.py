@@ -68,7 +68,8 @@ def assemble_model(data: DataMatrix, ordering: BlockOrdering) -> ChainGraphModel
     degenerate = np.flatnonzero(noise_std <= COLLINEAR_RTOL * data.values.std(axis=1))
     if degenerate.size:
         raise DegenerateInputError(
-            f"zero residual variance for variable(s) {degenerate.tolist()}: "
-            "exactly collinear with the variables ordered before them"
+            f"residual standard deviation at most {COLLINEAR_RTOL:g} of the variable's own for "
+            f"variable(s) {degenerate.tolist()}: up to rounding, a linear function of the variables "
+            "ordered before them"
         )
     return ChainGraphModel(b, ordering, noise_std, tuple(within))

@@ -247,8 +247,9 @@ class TestEstimationFailure:
         # the second copy of column 0 has a residual of exactly zero variance
         # once the first is ordered before it
         assert self.large_mode_lines(self.duplicated_column_csv(tmp_path, 5), tmp_path) == [
-            "blockorder: estimation failed: zero residual variance for variable(s) [1]: "
-            "exactly collinear with the variables ordered before them"]
+            "blockorder: estimation failed: residual standard deviation at most 1e-08 of the "
+            "variable's own for variable(s) [1]: up to rounding, a linear function of the "
+            "variables ordered before them"]
 
     def test_rounding_error_residual_in_large_mode_exits_one(self, tmp_path):
         # regressed on two variables, the copy keeps a residual of rounding
@@ -265,8 +266,9 @@ class TestEstimationFailure:
                                   "--output", tmp_path / "m.json"])
         assert code == 1
         assert lines == [
-            "blockorder: estimation failed: zero variance for variable(s) [1] when scoring "
-            "candidate [0]: exactly collinear with the variables regressed out of them"]
+            "blockorder: estimation failed: standard deviation at most 1e-08 of the variable's "
+            "own for variable(s) [1] when scoring candidate [0]: up to rounding, a linear "
+            "function of the variables regressed out of them"]
 
 
 class TestCsvReading:

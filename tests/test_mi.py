@@ -8,9 +8,12 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 from scipy.special import digamma
 
@@ -186,8 +189,10 @@ class TestKernelsAgainstBruteForce:
         else:
             pts = rng.standard_normal((n, d))
         if chunk_rows is not None:
-            # a few rows per chunk, so chunk boundaries fall inside the data
-            monkeypatch.setattr(_kernels, "_CHUNK_FLOATS", chunk_rows * n)
+            # a few float64 rows per chunk, so chunk boundaries fall inside
+            # the data; spanning several blocks, the count works on 8-bit
+            # ranks, 8 times as many rows per chunk
+            monkeypatch.setattr(_kernels, "_CHUNK_BYTES", chunk_rows * n * 8)
         radii = _kernels.kth_neighbor_distance(pts, k)
         kth, counts = _brute_force(pts, k, radii)
         assert np.array_equal(radii, kth)
@@ -215,6 +220,31 @@ class TestKernelsAgainstBruteForce:
         _kernels.kth_neighbor_distance(np.random.default_rng(n).standard_normal((n, 2)), 3)
         assert (three_workers.submits > 0) == split
 
+    # 16-bit ranks fill a 512 KiB block at n = 512
+    @pytest.mark.parametrize("n,split", [(512, False), (513, True)])
+    def test_only_multi_block_counts_split(self, n, split, three_workers):
+        _kernels.count_within(np.random.default_rng(n).standard_normal((n, 2)), np.full(n, 0.5))
+        assert (three_workers.submits > 0) == split
+
+    def test_one_dimension_needs_no_pairwise_pass(self, three_workers):
+        # 600 points would split a box test's rows; one coordinate has none
+        pts = np.random.default_rng(4).standard_normal((600, 1))
+        radii = np.full(600, 0.01)
+        assert np.array_equal(_kernels.count_within(pts, radii), _brute_force(pts, 1, radii)[1])
+        assert three_workers.submits == 0
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("in_points,value", [(True, np.nan), (True, np.inf), (False, np.nan),
+                                                 (False, -np.inf)])
+    def test_unordered_input_raises(self, d, in_points, value):
+        # above one block the count searches sorted values, which a NaN or a
+        # radius of -inf would keep from settling
+        pts = np.random.default_rng(5).standard_normal((300, d))
+        radii = np.full(300, 0.1)
+        (pts[:, 0] if in_points else radii)[7] = value
+        with pytest.raises(ValueError, match="finite"):
+            _kernels.count_within(pts, radii)
+
     def test_scratch_memory_is_bounded(self):
         # the kernels work through cache-sized row blocks in reused buffers;
         # a whole-matrix temporary at this size would be tens of MiB
@@ -231,6 +261,64 @@ class TestKernelsAgainstBruteForce:
     def test_scratch_memory_is_bounded_when_split(self, three_workers):
         # each range allocates its own scratch, one block's worth in all
         self.test_scratch_memory_is_bounded()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    # 256/257: one float64 block or two, so the distance pass or ranks;
+    # 255/256 with small blocks: 8- or 16-bit ranks; 512/513: one 16-bit
+    # rank block or two
+    n=st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 512, 513])),
+    small_blocks=st.booleans(),
+    grid=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_count_equals_brute_force(d, n, small_blocks, grid, scale, seed):
+    rng = np.random.default_rng(seed)
+    if grid:
+        # integer grid points: ties in every coordinate and between distances
+        pts = rng.integers(0, 4, size=(n, d)).astype(float) * scale
+    else:
+        pts = rng.standard_normal((n, d)) * scale
+    # per point a radius of 0, exactly the distance to some point, or that
+    # distance stretched or shrunk
+    other = cdist(pts, pts, "chebyshev")[np.arange(n), rng.integers(0, n, n)]
+    radii = np.choose(rng.integers(0, 3, n), [np.zeros(n), other, other * rng.uniform(0.5, 1.5, n)])
+    # three float64 rows per block: any n > 3 takes the rank path, in blocks
+    chunk = 3 * 8 * n if small_blocks else _kernels._CHUNK_BYTES
+    with mock.patch.object(_kernels, "_CHUNK_BYTES", chunk):
+        counts = _kernels.count_within(pts, radii)
+    assert np.array_equal(counts, _brute_force(pts, 0, radii)[1])
+
+
+class TestPinnedValues:
+    """MI to the last bit, so a neighbor count that moves by one shows."""
+
+    # recorded with the count taken from the full float64 distance matrix
+    PINS = {
+        (200, 1, 1): "0x1.388b86d233d00p-3",
+        (200, 1, 4): "0x1.211a171ee9dd0p-2",
+        (200, 2, 3): "0x1.ad965949af680p-3",
+        (200, 4, 1): "0x1.130a7bd593dc0p-4",
+        (1000, 1, 1): "0x1.e7dad7d766380p-4",
+        (1000, 1, 4): "0x1.0354d42977ea0p-2",
+        (1000, 2, 3): "0x1.96b3031750140p-3",
+        (1000, 4, 1): "0x1.5f94539929b00p-4",
+        (2000, 1, 1): "0x1.d9726b1689500p-4",
+        (2000, 1, 4): "0x1.e2e86ba276440p-3",
+        (2000, 2, 3): "0x1.a50b6fc8f29c0p-3",
+        (2000, 4, 1): "0x1.28a62c4282280p-4",
+    }
+
+    @pytest.mark.parametrize("n,d_x,d_y", sorted(PINS))
+    def test_value(self, n, d_x, d_y):
+        rng = np.random.default_rng([n, d_x, d_y])
+        z = rng.standard_normal((d_x + d_y, n))
+        k = max(1, round(0.05 * n))
+        mi = mutual_information(z[:d_x], z[d_x:] + 0.5 * z[0], k)
+        assert mi.hex() == self.PINS[n, d_x, d_y]
 
 
 def test_forked_child_runs_split_kernels(three_workers):
@@ -260,8 +348,9 @@ class TestFailingRange:
 
     @staticmethod
     def split(rows_fn):
-        # 1000 rows are 16 blocks, so four ranges: the caller's starts at 0
-        _kernels._split_rows(np.zeros((1000, 1)), rows_fn)
+        # 1000 float64 columns are 16 blocks, so four ranges: the caller's
+        # starts at 0
+        _kernels._split_rows(np.zeros((1, 1000)), rows_fn)
 
     def test_caller_failure_waits_for_workers(self, three_workers):
         finished = []
