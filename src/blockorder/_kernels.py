@@ -7,11 +7,10 @@ one row block at a time.  A block is sized to stay in a core's L2 cache, and
 its buffers are allocated once per row range and reused for every block, so
 the loop itself allocates nothing; the block size never changes a result.
 
-The count kernel builds no distances once the points span more than one
-float64 block (n > 256).  Point j is inside point i's radius eps_i when
-``|x_ri - x_rj| < eps_i`` in every coordinate r, each difference rounded as
-a float64 subtraction rounds it.  Rounding is monotone, so along a sorted
-coordinate those j form one contiguous range of ranks.  One sort of
+The count kernel builds no distances.  Point j is inside point i's radius
+eps_i when ``|x_ri - x_rj| < eps_i`` in every coordinate r, each difference
+rounded as a float64 subtraction rounds it.  Rounding is monotone, so along
+a sorted coordinate those j form one contiguous range of ranks.  One sort of
 the points together with the keys ``x_ri - eps_i`` guesses where each range
 starts (and, on ``-x``, where it ends); each end is then checked with the
 predicate itself and moved past whole runs of equal values until the check
@@ -20,10 +19,8 @@ length.  In more, ranks and ranges are stored in the smallest unsigned dtype
 that holds n, and the pairwise pass is an integer box test,
 ``(rank_j - first_i) mod 2**bits < width_i``, ANDed across coordinates: a
 narrow unsigned subtract and compare per pair and coordinate instead of a
-float64 subtract, abs, max and compare.  The counts are the same integers.
-A single-block call (n <= 256) keeps the distance pass: there the sorts and
-range checks, some sixty small numpy calls, cost more than the whole pass
-(in covering fits at n=200 a count took 0.44 ms on ranks against 0.28 ms).
+float64 subtract, abs, max and compare.  The counts are the same integers
+as from the distance matrix, at every n.
 
 A call whose pairwise pass spans at least two row blocks (n > 256 for the
 k-th distances, n > 512 for the 16-bit box test) splits its rows into
@@ -34,8 +31,9 @@ threads on the first call that splits.  Each range allocates its own
 buffers; together they hold one block, so scratch memory does not grow with
 the core count.  Every output row is written by one thread with the same
 arithmetic, so the results are bit-identical for any core count, and there
-is no setting for it.  A call with a single row block runs serially on the
-calling thread and never touches the pool.
+is no setting for it.  A pairwise pass with a single row block, and every
+one-dimensional count, runs serially on the calling thread and never
+touches the pool.
 """
 
 import os
@@ -68,47 +66,27 @@ def _coordinates(points):
     return np.ascontiguousarray(pts.T)
 
 
-def _chebyshev_block(block, pts, dist, tmp):
-    """Max-norm distances from each point of ``block`` to each of ``pts``.
+def _kth_rows(cols, k, out, start, stop, rows):
+    """k-th neighbor distances of the points ``start:stop``, ``rows`` points at a time.
 
-    Both are coordinate-major, (d, m) and (d, n); the result is written into
-    ``dist`` (m, n), with ``tmp`` (m, n) as scratch.
-    """
-    np.subtract(block[0, :, None], pts[0], out=dist)
-    np.abs(dist, out=dist)
-    for r in range(1, pts.shape[0]):
-        np.subtract(block[r, :, None], pts[r], out=tmp)
-        np.abs(tmp, out=tmp)
-        np.maximum(dist, tmp, out=dist)
-    return dist
-
-
-def _distance_blocks(cols, start, stop, rows):
-    """Yield ``(lo, hi, dist)`` over row blocks of the points ``start:stop``.
-
-    ``cols`` is the coordinate-major (d, n) point set; ``dist`` holds the
-    distances from points ``lo:hi`` (at most ``rows`` of them) to all points.
-    It is a view of one buffer allocated for the whole range, so the next
-    block overwrites it and a caller may reorder it in place.
+    ``cols`` is the coordinate-major (d, n) point set.  The max-norm
+    distances from a block of points to all n are formed in a buffer
+    allocated once for the whole range, with a second one as scratch, and
+    partitioned in place.
     """
     shape = (min(rows, stop - start), cols.shape[1])
     dist_buf, tmp_buf = np.empty(shape), np.empty(shape)
     for lo in range(start, stop, rows):
         hi = min(lo + rows, stop)
-        yield lo, hi, _chebyshev_block(cols[:, lo:hi], cols, dist_buf[: hi - lo], tmp_buf[: hi - lo])
-
-
-def _kth_rows(cols, k, out, start, stop, rows):
-    for lo, hi, dist in _distance_blocks(cols, start, stop, rows):
+        dist, tmp = dist_buf[: hi - lo], tmp_buf[: hi - lo]
+        np.subtract(cols[0, lo:hi, None], cols[0], out=dist)
+        np.abs(dist, out=dist)
+        for r in range(1, cols.shape[0]):
+            np.subtract(cols[r, lo:hi, None], cols[r], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.maximum(dist, tmp, out=dist)
         dist.partition(k, axis=1)
         out[lo:hi] = dist[:, k]
-
-
-def _count_rows(cols, radii, out, start, stop, rows):
-    inside_buf = np.empty((min(rows, stop - start), cols.shape[1]), dtype=bool)
-    for lo, hi, dist in _distance_blocks(cols, start, stop, rows):
-        inside = np.less(dist, radii[lo:hi, None], out=inside_buf[: hi - lo])
-        inside.sum(axis=1, out=out[lo:hi])
 
 
 def _box_rows(ranks, first, width, out, start, stop, rows):
@@ -151,7 +129,7 @@ def _rank_windows(cols, radii):
     """
     d, n = cols.shape
     # x_j is below x_i's window when x_i - x_j >= eps_i and above it when
-    # (-x_i) - (-x_j) >= eps_i, each difference rounded as the distance pass
+    # (-x_i) - (-x_j) >= eps_i, each difference rounded as the k-th kernel
     # rounds it; rounding is monotone, so along a sorted coordinate the test
     # holds on a prefix, and its length is what is searched for, on x and -x
     keys = np.empty((2 * d, 2 * n))
@@ -240,17 +218,12 @@ def count_within(points, radii):
     # every window; a NaN or a radius of -inf would never settle
     if not (np.isfinite(cols).all() and (radii >= 0).all()):
         raise ValueError("points must be finite and radii non-negative")
-    n = cols.shape[1]
-    if n * n * cols.itemsize <= _CHUNK_BYTES:
-        out = np.empty(n, dtype=np.int64)
-        _split_rows(cols, _count_rows, radii, out)
+    ranks, first, width = _rank_windows(cols, radii)
+    if len(cols) == 1:
+        out = width[0].astype(np.int64)
     else:
-        ranks, first, width = _rank_windows(cols, radii)
-        if len(cols) == 1:
-            out = width[0].astype(np.int64)
-        else:
-            out = np.empty(n, dtype=np.int64)
-            _split_rows(ranks, _box_rows, first, width, out)
+        out = np.empty(cols.shape[1], dtype=np.int64)
+        _split_rows(ranks, _box_rows, first, width, out)
     # self (distance 0) is inside only a positive radius; tied data can give
     # a radius of 0
     out -= radii > 0

@@ -99,12 +99,25 @@ def _write_csv(path, header, rows) -> None:
             handle.write(",".join(str(cell) for cell in row) + "\n")
 
 
+def _check_outputs(*paths) -> None:
+    """Reject an output path that cannot be written, before any work is done.
+
+    An unset (None) path is skipped.
+    """
+    for path in map(Path, filter(None, paths)):
+        if path.is_dir():
+            raise InvalidInputError(f"{path}: is a directory, not an output file")
+        if not path.parent.is_dir():
+            raise InvalidInputError(f"{path}: {path.parent} is not an existing directory")
+
+
 def write_csv_matrix(path, data: DataMatrix) -> None:
     _write_csv(path, (f"x{i}" for i in data.variable_ids), data.values.T.tolist())
 
 
 def _cmd_fit(args) -> int:
     cfg = SearchConfig(delta=_parse_delta(args.delta), k=_parse_kneig(args.kneig))
+    _check_outputs(args.output, args.trace)
     data = read_csv_matrix(args.input)
     if args.mode == "exact":
         model, trace = fit(data, cfg)
@@ -135,6 +148,7 @@ def _cmd_simulate(args) -> int:
             raise InvalidInputError("--p is required unless --mode eq4")
         p = 5
     spec = GenSpec(p=p, n=args.n, seed=args.seed, mode=mode)
+    _check_outputs(args.output, args.truth)
     data, truth = generate_dataset(spec)
     write_csv_matrix(args.output, data)
     params = {
@@ -155,6 +169,7 @@ def _cmd_benchmark(args) -> int:
     mode = _CLI_MODES[args.mode]
     report_path = Path(args.report)
     scatter_path = report_path.with_name(report_path.stem + "_scatter" + (report_path.suffix or ".csv"))
+    _check_outputs(report_path, scatter_path)
     rows = []
     all_pairs = []
     for trial in range(args.trials):

@@ -313,6 +313,28 @@ class TestCsvReading:
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("blockorder: error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "{csv}", "--output", "{tmp}/missing/m.json"],
+        ["fit", "--input", "{csv}", "--output", "{tmp}"],
+        ["fit", "--input", "{csv}", "--output", "{tmp}/m.json", "--trace", "{tmp}"],
+        ["fit", "--input", "{csv}", "--output", "{tmp}/m.json", "--trace", "{tmp}/missing/t.csv"],
+        ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", "{tmp}/missing/r.csv"],
+        ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", "{tmp}"],
+        ["simulate", "--mode", "eq4", "--n", "100", "--output", "{tmp}/d.csv", "--truth", "{tmp}"],
+    ], ids=["fit-output-dir-missing", "fit-output-is-dir", "fit-trace-is-dir",
+            "fit-trace-dir-missing", "benchmark-report-dir-missing", "benchmark-report-is-dir",
+            "simulate-truth-is-dir"])
+    def test_unusable_output_exits_two_before_any_work(self, argv, example_csv, tmp_path, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the output paths were checked")
+
+        for name in ("read_csv_matrix", "fit", "fit_large", "generate_dataset"):
+            monkeypatch.setattr(f"blockorder.cli.{name}", no_work)
+        code, lines = run_stderr([arg.format(csv=example_csv, tmp=tmp_path) for arg in argv])
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("blockorder: error:")
+        assert list(tmp_path.iterdir()) == []  # no partial output
+
     def test_header_only_csv_is_one_line(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x0,x1\n")

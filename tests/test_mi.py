@@ -190,8 +190,8 @@ class TestKernelsAgainstBruteForce:
             pts = rng.standard_normal((n, d))
         if chunk_rows is not None:
             # a few float64 rows per chunk, so chunk boundaries fall inside
-            # the data; spanning several blocks, the count works on 8-bit
-            # ranks, 8 times as many rows per chunk
+            # the data; the count's box test works on 8-bit ranks, 8 times
+            # as many rows per chunk
             monkeypatch.setattr(_kernels, "_CHUNK_BYTES", chunk_rows * n * 8)
         radii = _kernels.kth_neighbor_distance(pts, k)
         kth, counts = _brute_force(pts, k, radii)
@@ -237,13 +237,14 @@ class TestKernelsAgainstBruteForce:
     @pytest.mark.parametrize("in_points,value", [(True, np.nan), (True, np.inf), (False, np.nan),
                                                  (False, -np.inf)])
     def test_unordered_input_raises(self, d, in_points, value):
-        # above one block the count searches sorted values, which a NaN or a
+        # at every n the count searches sorted values, which a NaN or a
         # radius of -inf would keep from settling
-        pts = np.random.default_rng(5).standard_normal((300, d))
-        radii = np.full(300, 0.1)
-        (pts[:, 0] if in_points else radii)[7] = value
-        with pytest.raises(ValueError, match="finite"):
-            _kernels.count_within(pts, radii)
+        for n in (40, 300):
+            pts = np.random.default_rng(5).standard_normal((n, d))
+            radii = np.full(n, 0.1)
+            (pts[:, 0] if in_points else radii)[7] = value
+            with pytest.raises(ValueError, match="finite"):
+                _kernels.count_within(pts, radii)
 
     def test_scratch_memory_is_bounded(self):
         # the kernels work through cache-sized row blocks in reused buffers;
@@ -266,9 +267,8 @@ class TestKernelsAgainstBruteForce:
 @settings(max_examples=300, deadline=None)
 @given(
     d=st.integers(1, 5),
-    # 256/257: one float64 block or two, so the distance pass or ranks;
-    # 255/256 with small blocks: 8- or 16-bit ranks; 512/513: one 16-bit
-    # rank block or two
+    # 255/256: the last 8-bit and the first 16-bit ranks; 257: an odd size
+    # with 16-bit ranks; 512/513: one 16-bit rank block or two
     n=st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 512, 513])),
     small_blocks=st.booleans(),
     grid=st.booleans(),
@@ -286,7 +286,8 @@ def test_count_equals_brute_force(d, n, small_blocks, grid, scale, seed):
     # distance stretched or shrunk
     other = cdist(pts, pts, "chebyshev")[np.arange(n), rng.integers(0, n, n)]
     radii = np.choose(rng.integers(0, 3, n), [np.zeros(n), other, other * rng.uniform(0.5, 1.5, n)])
-    # three float64 rows per block: any n > 3 takes the rank path, in blocks
+    # three float64 rows' worth of bytes per block: 24 rows of 8-bit ranks
+    # or 12 of 16-bit, so the box test runs in several blocks from n = 25
     chunk = 3 * 8 * n if small_blocks else _kernels._CHUNK_BYTES
     with mock.patch.object(_kernels, "_CHUNK_BYTES", chunk):
         counts = _kernels.count_within(pts, radii)
