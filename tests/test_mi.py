@@ -189,10 +189,10 @@ class TestKernelsAgainstBruteForce:
         else:
             pts = rng.standard_normal((n, d))
         if chunk_rows is not None:
-            # a few float64 rows per chunk, so chunk boundaries fall inside
-            # the data; the count's box test works on 8-bit ranks, 8 times
-            # as many rows per chunk
-            monkeypatch.setattr(_kernels, "_CHUNK_BYTES", chunk_rows * n * 8)
+            # a few int16 grid rows per chunk, so chunk boundaries fall inside
+            # the data; the count's box test works on 8-bit ranks, twice as
+            # many rows per chunk
+            monkeypatch.setattr(_kernels, "_CHUNK_BYTES", chunk_rows * n * 2)
         radii = _kernels.kth_neighbor_distance(pts, k)
         kth, counts = _brute_force(pts, k, radii)
         assert np.array_equal(radii, kth)
@@ -215,7 +215,8 @@ class TestKernelsAgainstBruteForce:
         self.check(d, ties, chunk_rows, monkeypatch)
         assert three_workers.submits > 0  # the rows were split
 
-    @pytest.mark.parametrize("n,split", [(256, False), (257, True)])
+    # int16 grid distances fill a 512 KiB block at n = 512
+    @pytest.mark.parametrize("n,split", [(512, False), (513, True)])
     def test_only_multi_block_calls_split(self, n, split, three_workers):
         _kernels.kth_neighbor_distance(np.random.default_rng(n).standard_normal((n, 2)), 3)
         assert (three_workers.submits > 0) == split
@@ -245,6 +246,34 @@ class TestKernelsAgainstBruteForce:
             (pts[:, 0] if in_points else radii)[7] = value
             with pytest.raises(ValueError, match="finite"):
                 _kernels.count_within(pts, radii)
+
+    @pytest.mark.parametrize("k", [-1, 0, 40, 41])
+    def test_kth_rejects_k_outside_one_to_n_minus_one(self, k):
+        # a negative k would index the partitioned row from its far end
+        pts = np.random.default_rng(6).standard_normal((40, 2))
+        with pytest.raises(ValueError, match="1 <= k < n"):
+            _kernels.kth_neighbor_distance(pts, k)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_kth_rejects_non_finite_points(self, value):
+        # the grid would cast a NaN or an infinity to an arbitrary int16
+        for n in (40, 600):
+            pts = np.random.default_rng(7).standard_normal((n, 3))
+            pts[5, 1] = value
+            with pytest.raises(ValueError, match="finite"):
+                _kernels.kth_neighbor_distance(pts, 3)
+
+    def test_kth_scratch_memory_is_bounded(self):
+        # two int16 blocks, 1 MiB in all ranges together, and a few band
+        # pairs per row
+        pts = np.random.default_rng(12).standard_normal((3000, 4))
+        tracemalloc.start()
+        try:
+            _kernels.kth_neighbor_distance(pts, 150)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_scratch_memory_is_bounded(self):
         # the kernels work through cache-sized row blocks in reused buffers;
@@ -294,6 +323,41 @@ def test_count_equals_brute_force(d, n, small_blocks, grid, scale, seed):
     assert np.array_equal(counts, _brute_force(pts, 0, radii)[1])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    # 512/513: one int16 grid block or two; 1025: five, split across cores
+    n=st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 512, 513, 1025])),
+    small_blocks=st.booleans(),
+    layout=st.sampled_from(["normal", "grid", "outlier"]),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_kth_equals_brute_force(d, n, small_blocks, layout, scale, seed, data):
+    rng = np.random.default_rng(seed)
+    if layout == "grid":
+        # integer grid points: ties in every coordinate and between distances
+        pts = rng.integers(0, 4, size=(n, d)).astype(float)
+    else:
+        pts = rng.standard_normal((n, d))
+        if layout == "outlier":
+            # one point 1e6 times farther out than the rest: the grid's cells
+            # are wider than most distances, so the band holds most of a row
+            pts[0] = 1e6
+    pts *= scale
+    if n == 1:
+        with pytest.raises(ValueError):
+            _kernels.kth_neighbor_distance(pts, 1)
+        return
+    k = data.draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)), label="k")
+    # three int16 grid rows per block
+    chunk = 3 * 2 * n if small_blocks else _kernels._CHUNK_BYTES
+    with mock.patch.object(_kernels, "_CHUNK_BYTES", chunk):
+        radii = _kernels.kth_neighbor_distance(pts, k)
+    assert np.array_equal(radii, np.sort(cdist(pts, pts, "chebyshev"), axis=1)[:, k])
+
+
 class TestPinnedValues:
     """MI to the last bit, so a neighbor count that moves by one shows."""
 
@@ -313,13 +377,33 @@ class TestPinnedValues:
         (2000, 4, 1): "0x1.28a62c4282280p-4",
     }
 
+    # super-Gaussian (signed square of a Gaussian) at the benchmark's shapes:
+    # eq4-exact's 5 coordinates at n = 2000 and dag6-order's 6 at n = 1000;
+    # recorded with the k-th distances taken from the full float64 distances
+    SUPER_GAUSSIAN_PINS = {
+        (1000, 1, 5): "0x1.aacb2bfee4940p-3",
+        (1000, 3, 3): "0x1.f25e3f5f57700p-4",
+        (2000, 1, 4): "0x1.d18de8d5b9e80p-3",
+        (2000, 2, 3): "0x1.50ba128b48880p-3",
+    }
+
+    @staticmethod
+    def estimate(n, d_x, d_y, z):
+        k = max(1, round(0.05 * n))
+        return mutual_information(z[:d_x], z[d_x:] + 0.5 * z[0], k).hex()
+
     @pytest.mark.parametrize("n,d_x,d_y", sorted(PINS))
     def test_value(self, n, d_x, d_y):
         rng = np.random.default_rng([n, d_x, d_y])
         z = rng.standard_normal((d_x + d_y, n))
-        k = max(1, round(0.05 * n))
-        mi = mutual_information(z[:d_x], z[d_x:] + 0.5 * z[0], k)
-        assert mi.hex() == self.PINS[n, d_x, d_y]
+        assert self.estimate(n, d_x, d_y, z) == self.PINS[n, d_x, d_y]
+
+    @pytest.mark.parametrize("n,d_x,d_y", sorted(SUPER_GAUSSIAN_PINS))
+    def test_super_gaussian_value(self, n, d_x, d_y):
+        rng = np.random.default_rng([n, d_x, d_y, 2])
+        z = rng.standard_normal((d_x + d_y, n))
+        z = np.sign(z) * z**2
+        assert self.estimate(n, d_x, d_y, z) == self.SUPER_GAUSSIAN_PINS[n, d_x, d_y]
 
 
 def test_forked_child_runs_split_kernels(three_workers):
