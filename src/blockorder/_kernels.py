@@ -4,8 +4,8 @@ The mutual-information estimator spends essentially all of its time finding
 per-point k-th neighbor distances and counting marginal neighbors under the
 max norm.  Both kernels' pairwise passes work one row block at a time.  A
 block is sized to stay in a core's L2 cache, and its buffers are allocated
-once per row range and reused for every block; the block size never changes
-a result.
+once per call and reused for every block; the block size never changes a
+result.
 
 The k-th neighbor kernel finds each radius on a 16-bit grid and measures in
 float64 only the pairs near it.  One call puts every coordinate on one common
@@ -52,22 +52,17 @@ narrow unsigned subtract and compare per pair and coordinate instead of a
 float64 subtract, abs, max and compare.  The counts are the same integers
 as from the distance matrix, at every n.
 
-A call whose pairwise pass spans at least two row blocks (n > 512, for the
-int16 grid distances and the 16-bit box test alike) splits its rows into
-contiguous ranges, one per core in the process's affinity mask
-(``os.sched_getaffinity``): the calling thread computes the first range and
-a thread pool the others.  The pool is created with the module and starts its
-threads on the first call that splits.  Each range allocates its own
-buffers; together they hold one block, so scratch memory does not grow with
-the core count.  Every output row is written by one thread with the same
-arithmetic, so the results are bit-identical for any core count, and there
-is no setting for it.  A pairwise pass with a single row block, and every
-one-dimensional count, runs serially on the calling thread and never
-touches the pool.
+Every call runs on the calling thread, one row block after another.  The
+cores are used one level up, where the work shares nothing: when a pairwise
+pass spans at least two row blocks (n > 512, for the int16 grid distances
+and the 16-bit box test alike), the exact search scores a level's
+candidates concurrently, one thread per core of the process's affinity mask
+(``os.sched_getaffinity``) with the calling thread as one of them, and each
+kernel call allocates its own scratch.  A call computes the same arithmetic
+on the same inputs on whichever thread runs it, so results are
+bit-identical for any core count.  There is no setting for it: to use fewer
+cores, narrow the affinity mask (for example with ``taskset``).
 """
-
-import os
-from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -77,19 +72,6 @@ _CHUNK_BYTES = 1 << 19
 _GRID_MAX = 32767
 # grid distances this close to a row's k-th are measured in float64
 _BAND = 3
-# threads besides the caller's
-_WORKERS = len(os.sched_getaffinity(0)) - 1
-
-
-def _start_pool():
-    # an executor starts a thread only when work is submitted to it; a forked
-    # child inherits the pool but none of its threads, so it needs a new one
-    global _pool
-    _pool = ThreadPoolExecutor(max(_WORKERS, 1), thread_name_prefix="blockorder-kernels")
-
-
-_start_pool()
-os.register_at_fork(after_in_child=_start_pool)
 
 
 def _coordinates(points):
@@ -100,19 +82,31 @@ def _coordinates(points):
     return np.ascontiguousarray(pts.T)
 
 
-def _kth_rows(grid, cols, k, out, start, stop, rows):
-    """k-th neighbor distances of the points ``start:stop``, ``rows`` points at a time.
+def _block_rows(cols):
+    """Points per row block of a pairwise pass over the coordinate-major ``cols``.
+
+    A block is as many points as fill ``_CHUNK_BYTES`` with one value of
+    ``cols``' dtype per pair of a block point and any of the n points, which
+    is the size of each pairwise buffer the row functions allocate in that
+    dtype.
+    """
+    n = cols.shape[1]
+    return max(1, min(n, _CHUNK_BYTES // (max(n, 1) * cols.itemsize)))
+
+
+def _kth_rows(grid, cols, k, out):
+    """k-th neighbor distances of every point, one row block at a time.
 
     ``grid`` is the (d, n) int16 grid and ``cols`` the float64 points it was
     made from.  The grid distances from a block of points to all n are formed
-    in a buffer allocated once for the whole range, with a second one as
-    scratch; only the pairs in each row's band are measured in float64.
+    in a buffer allocated once per call, with a second one as scratch; only
+    the pairs in each row's band are measured in float64.
     """
     n = grid.shape[1]
-    shape = (min(rows, stop - start), n)
-    dist_buf, tmp_buf = np.empty(shape, dtype=np.int16), np.empty(shape, dtype=np.int16)
-    for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
+    rows = _block_rows(grid)
+    dist_buf, tmp_buf = np.empty((rows, n), dtype=np.int16), np.empty((rows, n), dtype=np.int16)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         dist, tmp = dist_buf[: hi - lo], tmp_buf[: hi - lo]
         # |q_i - q_j| <= 32767, so neither the difference nor its abs overflows
         np.subtract(grid[0, lo:hi, None], grid[0], out=dist)
@@ -138,13 +132,14 @@ def _kth_rows(grid, cols, k, out, start, stop, rows):
         out[lo:hi] = exact[order[np.searchsorted(row, np.arange(hi - lo)) + k - below]]
 
 
-def _box_rows(ranks, first, width, out, start, stop, rows):
-    """Count, for each point of ``start:stop``, the points inside its rank box."""
-    shape = (min(rows, stop - start), ranks.shape[1])
-    diff_buf = np.empty(shape, dtype=ranks.dtype)
-    inside_buf, tmp_buf = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    for lo in range(start, stop, rows):
-        hi = min(lo + rows, stop)
+def _box_rows(ranks, first, width, out):
+    """Count, for each point, the points inside its rank box, one row block at a time."""
+    n = ranks.shape[1]
+    rows = _block_rows(ranks)
+    diff_buf = np.empty((rows, n), dtype=ranks.dtype)
+    inside_buf, tmp_buf = np.empty((rows, n), dtype=bool), np.empty((rows, n), dtype=bool)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
         diff, inside, tmp = diff_buf[: hi - lo], inside_buf[: hi - lo], tmp_buf[: hi - lo]
         for r in range(ranks.shape[0]):
             # unsigned subtraction wraps, so one compare tests both ends
@@ -216,36 +211,6 @@ def _rank_windows(cols, radii):
     return before[:d, :n].astype(dtype), first.astype(dtype), np.maximum(last - first, 0).astype(dtype)
 
 
-def _split_rows(cols, rows_fn, *args):
-    """Run ``rows_fn(cols, *args, start, stop, rows)`` over every point.
-
-    ``cols`` is a coordinate-major (d, n) array: the int16 grid of the k-th
-    distances or the unsigned ranks of the count.  A block is as many points
-    as fill ``_CHUNK_BYTES`` with one value of ``cols``' dtype per pair of a
-    block point and any of the n points, which is the size of each pairwise
-    buffer the row functions allocate in that dtype.  The points are cut
-    into one contiguous range per core, but never into more ranges than they
-    have blocks.  Each range works through blocks of ``rows`` points,
-    ``1/ranges`` of a block, so the ranges' scratch together holds one block
-    whatever the core count.  The first range runs on the calling thread,
-    the others on the pool, and the call returns once all are done.
-    """
-    n = cols.shape[1]
-    step = max(1, _CHUNK_BYTES // (max(n, 1) * cols.itemsize))
-    parts = min(-(-n // step), _WORKERS + 1)
-    rows = -(-step // parts)
-    bounds = [n * i // parts for i in range(parts + 1)]
-    ranges = list(zip(bounds[:-1], bounds[1:]))
-    futures = [_pool.submit(rows_fn, cols, *args, start, stop, rows) for start, stop in ranges[1:]]
-    try:
-        rows_fn(cols, *args, *ranges[0], rows)
-    finally:
-        # the workers write into the caller's arrays: never return before them
-        wait(futures)
-    for future in futures:
-        future.result()
-
-
 def kth_neighbor_distance(points, k):
     """Max-norm distance from each point to its k-th nearest neighbor.
 
@@ -268,7 +233,7 @@ def kth_neighbor_distance(points, k):
     if 0 < scale < np.inf:
         np.rint((cols - low) * scale, out=grid, casting="unsafe")
     out = np.empty(n, dtype=np.float64)
-    _split_rows(grid, _kth_rows, cols, k, out)
+    _kth_rows(grid, cols, k, out)
     return out
 
 
@@ -288,7 +253,7 @@ def count_within(points, radii):
         out = width[0].astype(np.int64)
     else:
         out = np.empty(cols.shape[1], dtype=np.int64)
-        _split_rows(ranks, _box_rows, first, width, out)
+        _box_rows(ranks, first, width, out)
     # self (distance 0) is inside only a positive radius; tied data can give
     # a radius of 0
     out -= radii > 0

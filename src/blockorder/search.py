@@ -10,10 +10,13 @@ out a singleton (full-ordering mode).
 """
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, NamedTuple
 
+from ._kernels import _CHUNK_BYTES
 from .errors import DegenerateInputError, InvalidInputError, SearchTooLargeError
 from .linalg import DataMatrix, residualize
 from .mi import mutual_information
@@ -64,6 +67,36 @@ def independence_score(data: DataMatrix, subset, k: int) -> float:
             "the variables regressed out of them"
         )
     return mutual_information(x_s.values, resid.values, k)
+
+
+def _scores(data: DataMatrix, candidates, k: int) -> list[float]:
+    """``independence_score`` of each candidate, in enumeration order.
+
+    When a kernel's pairwise pass spans more than one row block of int16
+    grid distances (n > 512) and the affinity mask has more than one core,
+    ``cores - 1`` worker threads take the candidates in order, and the
+    calling thread scores every one that no worker has started.  Each score
+    is the same call on the same inputs, so the scores are bit-identical to
+    a serial loop.  A failure drops the candidates no thread has started,
+    joins the workers and raises the first failure in enumeration order.
+    """
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2 or 2 * data.n_samples**2 <= _CHUNK_BYTES:
+        return [independence_score(data, candidate, k) for candidate in candidates]
+    with ThreadPoolExecutor(cores - 1) as pool:
+        futures = [pool.submit(independence_score, data, candidate, k) for candidate in candidates]
+        try:
+            for i, candidate in enumerate(candidates):
+                if futures[i].cancel():
+                    futures[i] = Future()
+                    futures[i].set_result(independence_score(data, candidate, k))
+        except Exception as error:
+            # stored as a worker's error is, so the first failing candidate
+            # in enumeration order raises below
+            futures[i].set_exception(error)
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [future.result() for future in futures]
 
 
 def enumerate_candidates(
@@ -122,8 +155,8 @@ def find_most_exogenous(
     k = cfg.k if cfg.k is not None else min(max(1, round(0.05 * n)), n - 1)
     best_subset: tuple[int, ...] | None = None
     best_score = math.inf
-    for candidate in enumerate_candidates(members, constraints):
-        score = independence_score(data, candidate, k)
+    candidates = enumerate_candidates(members, constraints)
+    for candidate, score in zip(candidates, _scores(data, candidates, k)):
         if trace is not None:
             trace.append(ScoreRecord(level, candidate, score))
         if best_subset is None or score < best_score:

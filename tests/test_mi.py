@@ -1,12 +1,9 @@
 """Tests for the k-nearest-neighbor mutual information estimator."""
 
 import os
-import signal
 import subprocess
 import sys
-import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -158,24 +155,6 @@ def _brute_force(pts, k, radii):
     return np.sort(dist, axis=1)[:, k], inside.sum(axis=1) - np.diag(inside)
 
 
-class _CountingPool(ThreadPoolExecutor):
-    submits = 0
-
-    def submit(self, *args, **kwargs):
-        self.submits += 1
-        return super().submit(*args, **kwargs)
-
-
-@pytest.fixture
-def three_workers(monkeypatch):
-    """The kernels split rows four ways, on a fresh pool that counts its submits."""
-    pool = _CountingPool(3)
-    monkeypatch.setattr(_kernels, "_WORKERS", 3)
-    monkeypatch.setattr(_kernels, "_pool", pool)
-    yield pool
-    pool.shutdown()
-
-
 class TestKernelsAgainstBruteForce:
     @staticmethod
     def check(d, ties, chunk_rows, monkeypatch):
@@ -200,39 +179,19 @@ class TestKernelsAgainstBruteForce:
         if ties:
             assert np.any(radii == 0.0) and np.any(radii > 0.0)
 
+    # 40 rows per block leave a short last block; 97 rows are not a multiple
+    # of 3 or 5; one-row blocks
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("ties", [False, True])
-    @pytest.mark.parametrize("chunk_rows", [None, 3])
+    @pytest.mark.parametrize("chunk_rows", [None, 40, 5, 3, 1])
     def test_bit_identical(self, d, ties, chunk_rows, monkeypatch):
         self.check(d, ties, chunk_rows, monkeypatch)
 
-    # 40 rows per block gives 3 blocks, fewer than the 4 ranges; 97 rows are
-    # not a multiple of 5 (20 blocks, 2-row blocks within each range)
-    @pytest.mark.parametrize("d", [1, 3, 5])
-    @pytest.mark.parametrize("ties", [False, True])
-    @pytest.mark.parametrize("chunk_rows", [40, 5, 1])
-    def test_split_rows_bit_identical(self, d, ties, chunk_rows, monkeypatch, three_workers):
-        self.check(d, ties, chunk_rows, monkeypatch)
-        assert three_workers.submits > 0  # the rows were split
-
-    # int16 grid distances fill a 512 KiB block at n = 512
-    @pytest.mark.parametrize("n,split", [(512, False), (513, True)])
-    def test_only_multi_block_calls_split(self, n, split, three_workers):
-        _kernels.kth_neighbor_distance(np.random.default_rng(n).standard_normal((n, 2)), 3)
-        assert (three_workers.submits > 0) == split
-
-    # 16-bit ranks fill a 512 KiB block at n = 512
-    @pytest.mark.parametrize("n,split", [(512, False), (513, True)])
-    def test_only_multi_block_counts_split(self, n, split, three_workers):
-        _kernels.count_within(np.random.default_rng(n).standard_normal((n, 2)), np.full(n, 0.5))
-        assert (three_workers.submits > 0) == split
-
-    def test_one_dimension_needs_no_pairwise_pass(self, three_workers):
-        # 600 points would split a box test's rows; one coordinate has none
+    def test_one_dimension_needs_no_pairwise_pass(self):
+        # 600 points would take two box-test blocks; one coordinate has none
         pts = np.random.default_rng(4).standard_normal((600, 1))
         radii = np.full(600, 0.01)
         assert np.array_equal(_kernels.count_within(pts, radii), _brute_force(pts, 1, radii)[1])
-        assert three_workers.submits == 0
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("in_points,value", [(True, np.nan), (True, np.inf), (False, np.nan),
@@ -264,8 +223,7 @@ class TestKernelsAgainstBruteForce:
                 _kernels.kth_neighbor_distance(pts, 3)
 
     def test_kth_scratch_memory_is_bounded(self):
-        # two int16 blocks, 1 MiB in all ranges together, and a few band
-        # pairs per row
+        # two int16 blocks, 1 MiB in all, and a few band pairs per row
         pts = np.random.default_rng(12).standard_normal((3000, 4))
         tracemalloc.start()
         try:
@@ -287,10 +245,6 @@ class TestKernelsAgainstBruteForce:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
-
-    def test_scratch_memory_is_bounded_when_split(self, three_workers):
-        # each range allocates its own scratch, one block's worth in all
-        self.test_scratch_memory_is_bounded()
 
 
 @settings(max_examples=300, deadline=None)
@@ -326,7 +280,7 @@ def test_count_equals_brute_force(d, n, small_blocks, grid, scale, seed):
 @settings(max_examples=300, deadline=None)
 @given(
     d=st.integers(1, 5),
-    # 512/513: one int16 grid block or two; 1025: five, split across cores
+    # 512/513: one int16 grid block or two; 1025: five
     n=st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 512, 513, 1025])),
     small_blocks=st.booleans(),
     layout=st.sampled_from(["normal", "grid", "outlier"]),
@@ -406,62 +360,6 @@ class TestPinnedValues:
         assert self.estimate(n, d_x, d_y, z) == self.SUPER_GAUSSIAN_PINS[n, d_x, d_y]
 
 
-def test_forked_child_runs_split_kernels(three_workers):
-    # the child inherits a pool whose threads stayed behind in the parent;
-    # it must start its own rather than queue work that never runs
-    pts = np.random.default_rng(3).standard_normal((2000, 3))
-    radii = _kernels.kth_neighbor_distance(pts, 20)
-    counts = _kernels.count_within(pts[:, :2], radii)
-    assert three_workers.submits > 0
-    pid = os.fork()
-    if pid == 0:  # child: never return into pytest
-        code = 1
-        try:
-            signal.signal(signal.SIGALRM, signal.SIG_DFL)
-            signal.alarm(10)
-            again = _kernels.kth_neighbor_distance(pts, 20)
-            same = np.array_equal(again, radii)
-            code = 0 if same and np.array_equal(_kernels.count_within(pts[:, :2], again), counts) else 3
-        finally:
-            os._exit(code)
-    _, status = os.waitpid(pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-
-
-class TestFailingRange:
-    """A failing range reaches the caller, but only once every range is done."""
-
-    @staticmethod
-    def split(rows_fn):
-        # 1000 float64 columns are 16 blocks, so four ranges: the caller's
-        # starts at 0
-        _kernels._split_rows(np.zeros((1, 1000)), rows_fn)
-
-    def test_caller_failure_waits_for_workers(self, three_workers):
-        finished = []
-
-        def rows_fn(cols, start, stop, rows):
-            if start == 0:
-                raise RuntimeError("caller's range failed")
-            if stop == cols.shape[1]:
-                time.sleep(0.2)
-                finished.append(start)
-
-        with pytest.raises(RuntimeError, match="caller's range failed"):
-            self.split(rows_fn)
-        # the workers write into the caller's arrays, so they must be done
-        assert finished == [750]
-
-    def test_worker_failure_reaches_caller(self, three_workers):
-        def rows_fn(cols, start, stop, rows):
-            if stop == cols.shape[1]:
-                raise ValueError("last range failed")
-
-        with pytest.raises(ValueError, match="last range failed"):
-            self.split(rows_fn)
-        assert three_workers.submits == 3
-
-
 def _run_with_package(code):
     package_root = str(Path(_kernels.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -496,6 +394,6 @@ for name, sim, fit in [
 
 
 def test_import_starts_no_thread():
-    # the kernels' pool is created with the module but starts its threads
-    # with the first call that splits rows
+    # the search starts its threads inside a call and joins them before it
+    # returns
     assert _run_with_package("import threading, blockorder; print(threading.active_count())") == "1"

@@ -1,6 +1,12 @@
 """Tests for the exact recursive ordered-block search."""
 
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +22,12 @@ from blockorder import (
     fit,
     generate_dataset,
 )
+from blockorder import search
 from blockorder.datagen import _power_noise
 from blockorder.linalg import residualize
+from blockorder.model import write_model_json
 from blockorder.search import (
+    ScoreRecord,
     enumerate_candidates,
     find_most_exogenous,
     group_search,
@@ -223,3 +232,176 @@ class TestFit:
         data = center(np.random.default_rng(3).standard_normal((3, 50))).restrict((0, 2))
         with pytest.raises(InvalidInputError):
             fit(data)
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """An affinity mask of two cores, whatever the machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def serial_scores(data, candidates, k):
+    return [independence_score(data, candidate, k) for candidate in candidates]
+
+
+class TestConcurrentScoring:
+    """Above one kernel row block a level's candidates are scored on threads."""
+
+    @staticmethod
+    def threads_seen(n, monkeypatch):
+        # the pool starts its worker on the first submit, before any score
+        seen = set()
+
+        def counting_mi(x, y, k):
+            seen.add(threading.active_count())
+            return 0.0
+
+        monkeypatch.setattr(search, "mutual_information", counting_mi)
+        data = center(np.random.default_rng(n).standard_normal((3, n)))
+        before = threading.active_count()
+        find_most_exogenous(data, (0, 1, 2), SearchConfig())
+        assert threading.active_count() == before
+        return {count - before for count in seen}
+
+    # int16 grid distances fill a 512 KiB block at n = 512
+    @pytest.mark.parametrize("n,threads", [(512, False), (513, True)])
+    def test_only_multi_block_data_uses_threads(self, n, threads, two_cores, monkeypatch):
+        assert self.threads_seen(n, monkeypatch) == ({1} if threads else {0})
+
+    def test_one_core_scores_serially(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.threads_seen(2000, monkeypatch) == {0}
+
+    # four cores: more threads than a 2-core machine runs at once,
+    # switching often, so workers and the caller race for the same futures
+    @pytest.mark.parametrize("cores", [2, 4])
+    def test_trace_equals_serial_loop(self, cores, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+        data, _ = generate_dataset(GenSpec(p=4, n=600, seed=7, mode="dag"))
+        trace: list[ScoreRecord] = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            best, score = find_most_exogenous(data, range(4), SearchConfig(), trace=trace, level=2)
+        finally:
+            sys.setswitchinterval(interval)
+        candidates = enumerate_candidates(range(4))
+        expected = [ScoreRecord(2, c, s) for c, s in zip(candidates, serial_scores(data, candidates, 30))]
+        # bit for bit, and the same strict-< tie rule picks the first minimum
+        assert [(r.level, r.subset, r.score.hex()) for r in trace] == \
+            [(r.level, r.subset, r.score.hex()) for r in expected]
+        first_min = min(expected, key=lambda r: r.score)
+        assert (best, score) == (first_min.subset, first_min.score)
+
+    def test_fit_model_json_is_byte_identical_to_serial_scoring(self, two_cores, monkeypatch, tmp_path):
+        data, _ = generate_dataset(GenSpec(p=4, n=600, seed=8, mode="dag"))
+        outputs = []
+        for scores in (search._scores, serial_scores):
+            monkeypatch.setattr(search, "_scores", scores)
+            model, trace = fit(data)
+            write_model_json(tmp_path / "model.json", model)
+            # repr round-trips every float, so equal reprs are equal bits
+            outputs.append(((tmp_path / "model.json").read_bytes(), repr(trace)))
+        assert outputs[0] == outputs[1]
+
+    def test_scratch_memory_is_bounded(self, two_cores):
+        # one MI call here holds about 1.5 MiB of kernel scratch, and two
+        # threads hold two calls' worth (3.0 MiB measured); a third concurrent
+        # call or per-thread caches of both kernels' buffers would pass 4 MiB
+        data, _ = generate_dataset(GenSpec(p=5, n=2000, seed=2, mode="eq4_example"))
+        tracemalloc.start()
+        try:
+            find_most_exogenous(data, range(5), SearchConfig())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2**20
+
+
+class TestFailingCandidate:
+    """A failure raises the first failing candidate's error once no worker runs."""
+
+    N = 600
+
+    @staticmethod
+    def search_with(score, monkeypatch):
+        monkeypatch.setattr(search, "independence_score", score)
+        data = center(np.random.default_rng(9).standard_normal((4, TestFailingCandidate.N)))
+        before = threading.active_count()
+        try:
+            find_most_exogenous(data, range(4), SearchConfig())
+        finally:
+            assert threading.active_count() == before
+
+    def test_duplicated_column_raises_the_serial_error(self, two_cores):
+        rng = np.random.default_rng(10)
+        values = rng.standard_normal((4, self.N))
+        values[2] = values[0]
+        data = center(values)
+        with pytest.raises(DegenerateInputError) as serial:
+            serial_scores(data, enumerate_candidates(range(4)), 30)
+        before = threading.active_count()
+        with pytest.raises(DegenerateInputError) as concurrent:
+            find_most_exogenous(data, range(4), SearchConfig())
+        assert threading.active_count() == before
+        assert str(concurrent.value) == str(serial.value)
+
+    def test_first_failing_candidate_in_order_raises(self, two_cores, monkeypatch):
+        candidates = enumerate_candidates(range(4))
+
+        def score(data, subset, k):
+            time.sleep(0.005)
+            if candidates.index(subset) in (3, 5, 9):
+                raise ValueError(f"candidate {list(subset)} failed")
+            return 0.0
+
+        with pytest.raises(ValueError, match=r"^candidate \[3\] failed$"):
+            self.search_with(score, monkeypatch)
+
+    def test_caller_failure_waits_for_workers(self, two_cores, monkeypatch):
+        started, finished, caller = [], [], []
+
+        def score(data, subset, k):
+            if threading.current_thread() is threading.main_thread():
+                caller.append(subset)
+                raise RuntimeError("caller's candidate failed")
+            started.append(subset)
+            time.sleep(0.2)
+            finished.append(subset)
+            return 0.0
+
+        with pytest.raises(RuntimeError, match="caller's candidate failed"):
+            self.search_with(score, monkeypatch)
+        # the worker's candidate ran to its end, and the candidates no thread
+        # had started were dropped
+        assert caller and finished == started
+        assert len(caller) + len(started) < len(enumerate_candidates(range(4)))
+
+    def test_worker_failure_reaches_caller(self, two_cores, monkeypatch):
+        def score(data, subset, k):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("worker's candidate failed")
+            time.sleep(0.01)
+            return 0.0
+
+        with pytest.raises(ValueError, match="worker's candidate failed"):
+            self.search_with(score, monkeypatch)
+
+
+def test_forked_child_completes_a_fit(two_cores):
+    # the parent's fit started and joined a worker thread; a forked child
+    # inherits none, and must start its own rather than wait on one
+    data, _ = generate_dataset(GenSpec(p=4, n=600, seed=11, mode="dag"))
+    model, trace = fit(data)
+    pid = os.fork()
+    if pid == 0:  # child: never return into pytest
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(20)
+            again, again_trace = fit(data)
+            code = 0 if np.array_equal(again.b, model.b) and again_trace == trace else 3
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
