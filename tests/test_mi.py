@@ -179,12 +179,18 @@ class TestKernelsAgainstBruteForce:
         if ties:
             assert np.any(radii == 0.0) and np.any(radii > 0.0)
 
-    # 40 rows per block leave a short last block; 97 rows are not a multiple
-    # of 3 or 5; one-row blocks
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("ties", [False, True])
-    @pytest.mark.parametrize("chunk_rows", [None, 40, 5, 3, 1])
+    @pytest.mark.parametrize("chunk_rows", [None, 3])
     def test_bit_identical(self, d, ties, chunk_rows, monkeypatch):
+        self.check(d, ties, chunk_rows, monkeypatch)
+
+    # the rows split into blocks: 40 rows per block leave a short last block;
+    # 97 rows are not a multiple of 5; one-row blocks
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("chunk_rows", [40, 5, 1])
+    def test_split_rows_bit_identical(self, d, ties, chunk_rows, monkeypatch):
         self.check(d, ties, chunk_rows, monkeypatch)
 
     def test_one_dimension_needs_no_pairwise_pass(self):
