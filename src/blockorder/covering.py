@@ -11,6 +11,19 @@ small margin of a dense graph hides common causes: precedence facts read
 off margins alone are often wrong.  With h equal to p a subset hides
 nothing, so ``fit_large`` is then the exact search ``fit`` itself.
 
+Each step of the order scores variable i as ``S_i = sum_j P_ij``, a sum of
+non-negative pair penalties built from four entropies, and keeps only the
+argmin.  A partial sum is therefore a lower bound on ``S_i``, and a
+candidate whose partial sum exceeds the best exact score by a relative
+margin of 1e-9 (far above the rounding of summing in another order) can
+neither win nor tie: its remaining pairs are skipped, as in the threshold
+pruning of ParaLiNGAM (Shahbazinia, Salehkaleybar & Hashemi, arXiv
+2109.13993).  Each step is seeded with the previous step's penalties: the
+candidates are visited by their previous scores, and each first computes
+its pairs with the partners that penalised it most.  The survivors are
+scored in full with the plain formula's arithmetic, so the order is the
+one the full score matrix gives, bit for bit.
+
 Each run's block ordering also turns into pairwise precedence facts that are
 merged globally.  The bookkeeping is one boolean reachability matrix over
 the variables the facts touch, with each merged group entered as a cycle
@@ -224,31 +237,97 @@ _ENTROPY_GAUSS = (1.0 + math.log(2.0 * math.pi)) / 2.0
 _K1, _K2, _GAMMA = 79.047, 7.4129, 0.37457
 # Samples per chunk of pairwise residuals, bounding the order step's memory.
 _CHUNK_ELEMENTS = 1 << 17
+# A partial score prunes a candidate only above the best exact score by this
+# relative margin, far above the rounding of summing m terms in another order.
+_PRUNE_MARGIN = 1e-9
+# Per order step: how many partners, those of largest previous penalty, each
+# candidate computes first, and how many candidates are fully scored per
+# round.  Both set speed only.
+_PARTNERS = 3
+_BATCH = 2
 
 
 def _entropy(u: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
     """Approximate entropy of each standardised row of ``u`` (last axis: samples).
 
     ``scratch``, an array of ``u``'s shape and dtype, holds the elementwise
-    terms; without it they go to a fresh array.
+    terms; without it they go to a fresh array.  A standardised value can
+    reach sqrt(n), and float32 ``cosh`` overflows above 89.4; in a row where
+    it did, log cosh is taken as |u| - log 2 there, its float32-exact limit.
     """
     w = np.empty_like(u) if scratch is None else scratch
-    log_cosh = np.log(np.cosh(u, out=w), out=w).mean(axis=-1, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        log_cosh = np.log(np.cosh(u, out=w), out=w).mean(axis=-1, dtype=np.float64)
+        big = np.isinf(log_cosh)
+        if big.any():
+            v = u[big]
+            terms = np.log(np.cosh(v))
+            log_cosh[big] = np.where(np.isinf(terms), np.abs(v) - math.log(2.0), terms).mean(
+                axis=-1, dtype=np.float64
+            )
     np.multiply(-0.5, u, out=w)
     np.multiply(w, u, out=w)
     gauss = np.multiply(u, np.exp(w, out=w), out=w).mean(axis=-1, dtype=np.float64)
     return _ENTROPY_GAUSS - _K1 * (log_cosh - _GAMMA) ** 2 - _K2 * gauss**2
 
 
-def _exogeneity_scores(z: np.ndarray, buffers: np.ndarray) -> np.ndarray:
+def _residual_entropies(
+    i: np.ndarray, j: np.ndarray, a: np.ndarray, b: np.ndarray, z32: np.ndarray, buffers: np.ndarray
+) -> np.ndarray:
+    """Entropy of the standardised residual r_i|j = a_ij z_i - b_ij z_j for each pair (i, j).
+
+    The pairs are formed in chunks of ``_CHUNK_ELEMENTS`` samples in the two
+    rows of the float32 array ``buffers``.  Each product is rounded to
+    float32 before the difference, so a pair's entropy has the same bits in
+    any batch.
+    """
+    n = z32.shape[1]
+    out = np.empty(len(i))
+    step = max(1, _CHUNK_ELEMENTS // n)
+    for lo in range(0, len(i), step):
+        ii, jj = i[lo : lo + step], j[lo : lo + step]
+        resid = buffers[0, : len(ii) * n].reshape(len(ii), n)
+        scratch = buffers[1, : resid.size].reshape(resid.shape)
+        # with mode="clip" np.take fills the buffer directly ("raise" copies
+        # through a temporary); every index is in range
+        np.take(z32, ii, axis=0, out=resid, mode="clip")
+        np.take(z32, jj, axis=0, out=scratch, mode="clip")
+        np.multiply(a[ii, jj, None], resid, out=resid)
+        np.multiply(b[ii, jj, None], scratch, out=scratch)
+        out[lo : lo + step] = _entropy(np.subtract(resid, scratch, out=resid), scratch)
+    return out
+
+
+def _exogeneity_scores(
+    z: np.ndarray, buffers: np.ndarray, prior: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """DirectLiNGAM's score of each standardised row of ``z``; lowest is most exogenous.
 
-    Row i scores ``sum_j min(0, H(z_j) + H(r_i|j) - H(z_i) - H(r_j|i))**2``,
-    where ``r_i|j`` is the standardised residual of z_i regressed on z_j and
-    H is the entropy approximation.  The pairwise residuals are formed and
-    summed over in float32 with float64 accumulation, whole rows of pairs at
-    a time, in the two rows of the float32 array ``buffers``; each row must
-    hold ``max(_CHUNK_ELEMENTS, z.size)`` values.
+    Row i scores ``S_i = sum_j P_ij`` with the penalty
+    ``P_ij = min(0, H(z_j) + H(r_i|j) - H(z_i) - H(r_j|i))**2``, where
+    ``r_i|j`` is the standardised residual of z_i regressed on z_j and H is
+    the entropy approximation.  Only the argmin is used, and every penalty
+    is >= 0, so a partial sum bounds S_i from below: once it exceeds the
+    best exact score by the relative ``_PRUNE_MARGIN``, i can neither win
+    nor tie, and its remaining pairs are never computed.
+
+    ``prior`` holds the previous step's penalties on these rows (0 for the
+    pairs it did not compute; all 0 at the first step).  The candidate with
+    the lowest prior sum, the smallest id among equals, is scored first, in
+    full, for the first best score.  Every candidate still alive then
+    computes its pairs with the ``_PARTNERS`` partners of largest prior
+    penalty (the smallest ids among equals), and the survivors are scored
+    in full ``_BATCH`` at a time, lowest partial sum first, pruning again
+    after each round.  Which pairs are computed affects speed only: each
+    penalty has the bits the whole m-by-m matrix would give it, and a fully
+    scored row is summed as a row of that matrix, so the scores, their
+    minimum and its smallest index are the plain formula's.
+
+    Returns ``(scores, penalty)``: the exact score of every fully scored
+    candidate and inf for the pruned ones, so ``np.argmin`` picks the
+    winner, and the penalties computed (0 elsewhere), the next step's
+    ``prior``.  ``buffers`` must hold ``max(_CHUNK_ELEMENTS, n)`` float32
+    values per row.
     """
     m, n = z.shape
     corr = np.clip(z @ z.T / n, -1.0, 1.0)
@@ -257,20 +336,38 @@ def _exogeneity_scores(z: np.ndarray, buffers: np.ndarray) -> np.ndarray:
     b = (corr * a).astype(np.float32)
     a = a.astype(np.float32)
     z32 = z.astype(np.float32)
-    h_resid = np.empty((m, m))
-    rows = max(1, _CHUNK_ELEMENTS // (m * n))
-    for lo in range(0, m, rows):
-        hi = min(m, lo + rows)
-        resid = buffers[0, : (hi - lo) * m * n].reshape(hi - lo, m, n)
-        scratch = buffers[1, : resid.size].reshape(resid.shape)
-        # each product is rounded to float32 before the difference
-        np.multiply(a[lo:hi, :, None], z32[lo:hi, None, :], out=resid)
-        np.multiply(b[lo:hi, :, None], z32[None, :, :], out=scratch)
-        h_resid[lo:hi] = _entropy(np.subtract(resid, scratch, out=resid), scratch)
     h = _entropy(z)
-    diff = h[None, :] + h_resid - h[:, None] - h_resid.T
-    np.fill_diagonal(diff, 0.0)
-    return (np.minimum(diff, 0.0) ** 2).sum(axis=1)
+    h_resid = np.zeros((m, m))
+    penalty = np.zeros((m, m))
+    done = np.eye(m, dtype=bool)
+    scores = np.full(m, np.inf)
+
+    def compute(rows, cols) -> None:
+        """Both directions of the pairs ``(rows, cols)`` (indexing an m-by-m array) not done yet."""
+        want = np.zeros((m, m), dtype=bool)
+        want[rows, cols] = True
+        want |= want.T
+        want &= ~done
+        i, j = np.nonzero(want)
+        h_resid[i, j] = _residual_entropies(i, j, a, b, z32, buffers)
+        done[i, j] = True
+        diff = h[j] + h_resid[i, j] - h[i] - h_resid[j, i]
+        penalty[i, j] = np.minimum(diff, 0.0) ** 2
+
+    def survivors() -> np.ndarray:
+        """Score the complete rows; the others that can still win, lowest partial sum first."""
+        partial = penalty.sum(axis=1)
+        complete = done.all(axis=1)
+        scores[complete] = partial[complete]
+        alive = np.flatnonzero(~complete & (partial <= scores.min() * (1.0 + _PRUNE_MARGIN)))
+        return alive[np.argsort(partial[alive], kind="stable")]
+
+    compute(np.argmin(prior.sum(axis=1)), slice(None))
+    alive = survivors()
+    compute(alive[:, None], np.argsort(-prior[alive], axis=1, kind="stable")[:, :_PARTNERS])
+    while len(alive := survivors()):
+        compute(alive[:_BATCH], slice(None))
+    return scores, penalty
 
 
 def global_order(data: DataMatrix) -> tuple[int, ...]:
@@ -281,19 +378,33 @@ def global_order(data: DataMatrix) -> tuple[int, ...]:
     ``_exogeneity_scores`` next and regresses the others on it.  Ties go to
     the smallest variable id.  The float32 rounding of the pairwise
     residuals is much finer than the approximation.
+
+    A step needs only the argmin of its scores, each a sum of non-negative
+    pair penalties, so it prunes a candidate as soon as a partial sum
+    exceeds the best exact score by the relative ``_PRUNE_MARGIN`` (1e-9,
+    far above the ~m * 2**-53 rounding of summing in another order).  The
+    penalties a step computed seed the next one: its candidates are visited
+    by their previous sums and start with their largest previous penalties,
+    which prunes most candidates early (about 0.3 of all pairwise residual
+    entropies are computed at p=100, n=200).  Every computed value and every
+    full score has the bits of the full score matrix, and a pruned candidate
+    scores above the minimum, so the order is the one that matrix gives.
     """
     x = np.array(data.values, dtype=np.float64)
-    n = data.n_samples
-    remaining = list(range(data.n_variables))
-    buffers = np.empty((2, max(_CHUNK_ELEMENTS, len(remaining) * n)), dtype=np.float32)
+    n, p = data.n_samples, data.n_variables
+    remaining = list(range(p))
+    buffers = np.empty((2, max(_CHUNK_ELEMENTS, n)), dtype=np.float32)
+    penalty = np.zeros((p, p))
     order: list[int] = []
     while len(remaining) > 1:
         z = x[remaining]
         sd = np.sqrt((z * z).mean(axis=1))
         z /= np.where(sd > 0.0, sd, 1.0)[:, None]
-        chosen = remaining.pop(int(np.argmin(_exogeneity_scores(z, buffers))))
-        order.append(chosen)
-        top = x[chosen]
+        scores, penalty = _exogeneity_scores(z, buffers, penalty)
+        k = int(np.argmin(scores))
+        order.append(remaining.pop(k))
+        penalty = np.delete(np.delete(penalty, k, axis=0), k, axis=1)
+        top = x[order[-1]]
         energy = top @ top
         if energy > 0.0:
             x[remaining] -= np.outer(x[remaining] @ top / energy, top)

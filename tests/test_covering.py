@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -30,7 +31,7 @@ from blockorder.covering import (
     merge_orders,
     random_covering,
 )
-from blockorder.datagen import _power_noise
+from blockorder.datagen import _power_noise, derive_seed
 from blockorder.search import group_search
 from blockorder.strengths import assemble_model
 
@@ -213,8 +214,12 @@ def plain_entropy(u):
     return covering._ENTROPY_GAUSS - k1 * (log_cosh - gamma) ** 2 - k2 * gauss**2
 
 
-def plain_global_order(data):
-    """The order step with the plain chunk formula; returns (order, each step's scores)."""
+def plain_global_order(data, dtype=np.float32):
+    """The order step with the plain full-matrix formula; returns (order, each step's scores).
+
+    ``dtype`` is the precision of the pairwise residuals (float32 as in
+    ``global_order``, or float64 as a reference).
+    """
     x = np.array(data.values, dtype=np.float64)
     n = data.n_samples
     remaining = list(range(data.n_variables))
@@ -226,9 +231,9 @@ def plain_global_order(data):
         z /= np.where(sd > 0.0, sd, 1.0)[:, None]
         corr = np.clip(z @ z.T / n, -1.0, 1.0)
         a = 1.0 / np.sqrt(np.maximum(1.0 - corr * corr, 1e-12))
-        b = (corr * a).astype(np.float32)
-        a = a.astype(np.float32)
-        z32 = z.astype(np.float32)
+        b = (corr * a).astype(dtype)
+        a = a.astype(dtype)
+        z32 = z.astype(dtype)
         h_resid = np.empty((m, m))
         rows = max(1, covering._CHUNK_ELEMENTS // (m * n))
         for lo in range(0, m, rows):
@@ -248,8 +253,40 @@ def plain_global_order(data):
     return tuple(data.variable_ids[i] for i in order), scores
 
 
+def record_scores(monkeypatch):
+    """Make ``global_order`` append each step's (scores, penalty) to the returned list."""
+    recorded = []
+    scores_of = covering._exogeneity_scores
+
+    def recording(z, buffers, prior):
+        recorded.append(scores_of(z, buffers, prior))
+        return recorded[-1]
+
+    monkeypatch.setattr(covering, "_exogeneity_scores", recording)
+    return recorded
+
+
+def count_residual_rows(monkeypatch):
+    """Make ``global_order`` count the residual rows (float32) handed to ``_entropy``."""
+    count = [0]
+    entropy = covering._entropy
+
+    def counting(u, scratch=None):
+        if u.dtype == np.float32:
+            count[0] += u.shape[0]
+        return entropy(u, scratch)
+
+    monkeypatch.setattr(covering, "_entropy", counting)
+    return count
+
+
+def all_pairs(p):
+    """Residual entropies the full matrix computes over a whole order: sum of m(m - 1)."""
+    return sum(m * (m - 1) for m in range(2, p + 1))
+
+
 class TestOrderStepBitIdentity:
-    """The in-place order step computes every value the plain expressions do."""
+    """The pruned order step picks what the plain full-matrix formula picks, with its bits."""
 
     @staticmethod
     def datasets():
@@ -260,24 +297,22 @@ class TestOrderStepBitIdentity:
         return data, center(tied)
 
     # with p=7 and n=40 one row of pairs is 280 values: the default chunk
-    # holds a whole step of several rows, 840 gives chunks of 3, 3 and then
-    # a partial last chunk of 1 row, and 100 is shorter than a single row
+    # holds every pair of a step, 840 gives chunks of 21 pairs, and 100 of 2
+    # pairs, shorter than a single row
     @pytest.mark.parametrize("chunk", [1 << 17, 840, 100])
     def test_matches_plain_formula(self, chunk, monkeypatch):
         monkeypatch.setattr(covering, "_CHUNK_ELEMENTS", chunk)
-        recorded = []
-        scores_of = covering._exogeneity_scores
-
-        def recording(z, buffers):
-            recorded.append(scores_of(z, buffers))
-            return recorded[-1]
-
-        monkeypatch.setattr(covering, "_exogeneity_scores", recording)
+        recorded = record_scores(monkeypatch)
         for data in self.datasets():
             recorded.clear()
             order, scores = plain_global_order(data)
             assert global_order(data) == order
-            assert [s.tobytes() for s in recorded] == [s.tobytes() for s in scores]
+            assert len(recorded) == len(scores)
+            for (got, _), plain in zip(recorded, scores):
+                scored = np.isfinite(got)
+                assert got[scored].tobytes() == plain[scored].tobytes()
+                # a pruned candidate scores above the minimum, so cannot tie
+                assert np.all(plain[~scored] > plain.min())
 
     def test_tied_scores_go_to_the_smaller_id(self):
         _, tied = self.datasets()
@@ -285,6 +320,86 @@ class TestOrderStepBitIdentity:
         assert scores[0][1] == scores[0][3]
         order = global_order(tied)
         assert order.index(1) < order.index(3)
+
+    @given(
+        p=st.integers(3, 25),
+        n=st.integers(20, 300),
+        seed=st.integers(0, 10_000),
+        variant=st.sampled_from(["plain", "rounded", "copied", "flipped"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_order_as_plain_formula(self, p, n, seed, variant):
+        data, _ = generate_dataset(GenSpec(p=p, n=n, seed=seed, mode="chain_graph"))
+        values = data.values.copy()
+        if variant == "rounded":  # integer-valued, so pairs of scores tie
+            values = np.round(values)
+        elif variant == "copied":
+            values[p - 1] = values[0]
+        elif variant == "flipped":
+            values[p - 1] = -values[1]
+        data = center(values)
+        assert global_order(data) == plain_global_order(data)[0]
+
+    # the default chunk, and chunks of 3 pairs and of half a pair (so one
+    # pair each), both shorter than a row of 5 pairs
+    @pytest.mark.parametrize("n", [40, 200, 1001])
+    @pytest.mark.parametrize("pairs_per_chunk", [None, 3, 0.5])
+    def test_pair_batches_match_the_full_chunk(self, n, pairs_per_chunk, monkeypatch):
+        if pairs_per_chunk is not None:
+            monkeypatch.setattr(covering, "_CHUNK_ELEMENTS", int(pairs_per_chunk * n))
+        rng = np.random.default_rng(n)
+        m = 6
+        z = rng.laplace(size=(m, n)) + 0.5 * rng.laplace(size=(1, n))
+        z /= np.sqrt((z * z).mean(axis=1))[:, None]
+        corr = np.clip(z @ z.T / n, -1.0, 1.0)
+        a = 1.0 / np.sqrt(np.maximum(1.0 - corr * corr, 1e-12))
+        b = (corr * a).astype(np.float32)
+        a = a.astype(np.float32)
+        z32 = z.astype(np.float32)
+        full = plain_entropy(a[:, :, None] * z32[:, None, :] - b[:, :, None] * z32[None, :, :])
+        buffers = np.empty((2, max(covering._CHUNK_ELEMENTS, n)), dtype=np.float32)
+        others = np.array([0, 1, 3, 4, 5])
+        row = (np.full(5, 2), others)
+        column = (others, np.full(5, 2))
+        gathered = (rng.integers(0, m, 17), rng.integers(0, m, 17))
+        for i, j in (row, column, gathered):
+            got = covering._residual_entropies(i, j, a, b, z32, buffers)
+            assert got.tobytes() == full[i, j].tobytes()
+
+
+class TestOrderStepWork:
+    """Pruning skips most residual entropies (a speed guard; outputs are pinned above)."""
+
+    def test_criterion_six_data(self, monkeypatch):
+        spec = GenSpec(p=50, n=1000, seed=derive_seed(7, 0), mode="chain_graph")
+        data, _ = generate_dataset(spec)
+        count = count_residual_rows(monkeypatch)
+        global_order(data)
+        assert count[0] <= 0.5 * all_pairs(50)
+
+    def test_wide_chain(self, monkeypatch):
+        data, _ = generate_dataset(GenSpec(p=100, n=200, seed=0, mode="chain_graph"))
+        count = count_residual_rows(monkeypatch)
+        global_order(data)
+        assert count[0] <= 0.4 * all_pairs(100)
+
+
+def test_outlier_beyond_float32_cosh(monkeypatch):
+    """A standardised value above 89.4 overflows float32 cosh; the order step stays finite."""
+    rng = np.random.default_rng(0)
+    x = rng.laplace(size=(6, 10_000))
+    for i in range(1, 6):
+        x[i] += 0.8 * x[i - 1]
+    x[2, 0] = 1e5  # about 100 standard deviations
+    data = center(x)
+    recorded = record_scores(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        order = global_order(data)
+    for scores, penalty in recorded:
+        assert not np.isnan(scores).any() and np.isfinite(scores.min())
+        assert np.isfinite(penalty).all()
+    assert order == plain_global_order(data, np.float64)[0]
 
 
 def has_order_neighbours(order, subset):
