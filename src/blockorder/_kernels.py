@@ -2,10 +2,10 @@
 
 The mutual-information estimator spends essentially all of its time finding
 per-point k-th neighbor distances and counting marginal neighbors under the
-max norm.  Both kernels' pairwise passes work one row block at a time.  A
-block is sized to stay in a core's L2 cache, and its buffers are allocated
-once per call and reused for every block; the block size never changes a
-result.
+max norm.  Both kernels' pairwise passes work one cache-sized block at a
+time, rows for the k-th distances and columns for the counts.  A block's
+buffers are allocated once per call and reused for every block; the block
+size never changes a result.
 
 The k-th neighbor kernel finds each radius on a 16-bit grid and measures in
 float64 only the pairs near it.  One call puts every coordinate on one common
@@ -45,18 +45,25 @@ the points together with the keys ``x_ri - eps_i`` guesses where each range
 starts (and, on ``-x``, where it ends); each end is then checked with the
 predicate itself and moved past whole runs of equal values until the check
 holds, so the range is exact.  In one dimension the count is the range's
-length.  In more, ranks and ranges are stored in the smallest unsigned dtype
-that holds n, and the pairwise pass is an integer box test,
-``(rank_j - first_i) mod 2**bits < width_i``, ANDed across coordinates: a
-narrow unsigned subtract and compare per pair and coordinate instead of a
-float64 subtract, abs, max and compare.  The counts are the same integers
-as from the distance matrix, at every n.
+length.  In more, the pairwise pass works on bitsets of 64 points per
+machine word.  For a column chunk of points and each coordinate r, row c of
+a prefix table holds the bits of the chunk's points whose rank is below c:
+one bit is set in row ``rank + 1`` of each point, since ranks are a
+permutation, and the rows are OR-accumulated.  Point i's window in r is
+then ``table[first + width] ^ table[first]``, since the prefixes nest, and
+its count is the popcount of its windows ANDed across coordinates, summed
+over the chunks.  That is exactly the window test ``first_i <= rank_j <
+first_i + width_i``, and both rows exist since ``first_i + width_i <= n``,
+so the counts are the same integers as from the distance matrix, at every
+n.  A chunk is a power-of-two number of words, as many as let its d tables
+of n + 1 rows and three gathered (n, words) arrays fit in ``_CHUNK_BYTES``
+together.
 
-Every call runs on the calling thread, one row block after another.  The
-cores are used one level up, where the work shares nothing: when a pairwise
-pass spans at least two row blocks (n > 512, for the int16 grid distances
-and the 16-bit box test alike), the exact search scores a level's
-candidates concurrently, one thread per core of the process's affinity mask
+Every call runs on the calling thread, one block or chunk after another.
+The cores are used one level up, where the work shares nothing: when the
+k-th kernel's int16 grid distances span at least two row blocks (n > 512),
+the exact search scores each level's candidates concurrently on one pool
+per fit, one thread per core of the process's affinity mask
 (``os.sched_getaffinity``) with the calling thread as one of them, and each
 kernel call allocates its own scratch.  A call computes the same arithmetic
 on the same inputs on whichever thread runs it, so results are
@@ -66,12 +73,19 @@ cores, narrow the affinity mask (for example with ``taskset``).
 
 import numpy as np
 
-# 512 KiB per scratch buffer: 262,144 int16 grid distances
+# 512 KiB per k-th scratch buffer (262,144 int16 grid distances), and per
+# count chunk's prefix tables and gathered rows together
 _CHUNK_BYTES = 1 << 19
 # the grid's cells are 0.._GRID_MAX, so grid differences fit int16
 _GRID_MAX = 32767
 # grid distances this close to a row's k-th are measured in float64
 _BAND = 3
+# the count's column chunks are at most this many 64-point words wide, so
+# that _WORD and _BIT cover every chunk
+_MAX_WORDS = 16
+# point t of a column chunk is bit t % 64 of word t // 64
+_WORD = np.arange(64 * _MAX_WORDS) >> 6
+_BIT = np.left_shift(np.uint64(1), np.arange(64 * _MAX_WORDS, dtype=np.uint64) & np.uint64(63))
 
 
 def _coordinates(points):
@@ -87,8 +101,7 @@ def _block_rows(cols):
 
     A block is as many points as fill ``_CHUNK_BYTES`` with one value of
     ``cols``' dtype per pair of a block point and any of the n points, which
-    is the size of each pairwise buffer the row functions allocate in that
-    dtype.
+    is the size of each pairwise buffer ``_kth_rows`` allocates.
     """
     n = cols.shape[1]
     return max(1, min(n, _CHUNK_BYTES // (max(n, 1) * cols.itemsize)))
@@ -132,23 +145,60 @@ def _kth_rows(grid, cols, k, out):
         out[lo:hi] = exact[order[np.searchsorted(row, np.arange(hi - lo)) + k - below]]
 
 
+def _chunk_words(d, n):
+    """64-point words per column chunk of the count over (d, n) ranks.
+
+    A power of two, which ``np.take`` copies fastest, no more than the n
+    points need, and small enough that the chunk's d prefix tables of n + 1
+    rows and three gathered (n, words) arrays fit in ``_CHUNK_BYTES``
+    together.
+    """
+    fit = max(1, _CHUNK_BYTES // (8 * (d + 3) * (n + 1)))
+    return 1 << min(fit.bit_length() - 1, ((n - 1) // 64).bit_length(), _MAX_WORDS.bit_length() - 1)
+
+
 def _box_rows(ranks, first, width, out):
-    """Count, for each point, the points inside its rank box, one row block at a time."""
-    n = ranks.shape[1]
-    rows = _block_rows(ranks)
-    diff_buf = np.empty((rows, n), dtype=ranks.dtype)
-    inside_buf, tmp_buf = np.empty((rows, n), dtype=bool), np.empty((rows, n), dtype=bool)
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        diff, inside, tmp = diff_buf[: hi - lo], inside_buf[: hi - lo], tmp_buf[: hi - lo]
-        for r in range(ranks.shape[0]):
-            # unsigned subtraction wraps, so one compare tests both ends
-            np.subtract(ranks[r], first[r, lo:hi, None], out=diff)
-            np.less(diff, width[r, lo:hi, None], out=tmp if r else inside)
+    """Count, for each point, the points inside its rank box, 64 points per word.
+
+    One column chunk of points at a time: for every coordinate r, row c of
+    ``table[r]`` has the bits of the chunk's points of rank below c.  A
+    point's window in r is then two rows XORed, and its count in the chunk
+    is the popcount of its windows ANDed across coordinates.
+    """
+    d, n = ranks.shape
+    words = _chunk_words(d, n)
+    span = 64 * words
+    # each point's two table rows per coordinate: its window's end and start
+    ends = np.empty((d, 2, n), dtype=np.intp)
+    ends[:, 1] = first
+    np.add(first, width, out=ends[:, 0])
+    # flat position of row 1, word 0 of each coordinate's table
+    offsets = np.arange(words, d * (n + 1) * words, (n + 1) * words)[:, None]
+    table = np.empty((d, n + 1, words), dtype=np.uint64)
+    pair, acc = np.empty((2, n, words), dtype=np.uint64), np.empty((n, words), dtype=np.uint64)
+    count = np.empty((words, n), dtype=np.uint8)
+    out.fill(0)
+    for lo in range(0, n, span):
+        m = min(span, n - lo)
+        # ranks are a permutation, so each row gets at most one bit, and
+        # the accumulated row c holds the points of rank below c
+        table.fill(0)
+        index = np.multiply(ranks[:, lo : lo + m], words, dtype=np.intp)
+        index += offsets
+        index += _WORD[:m]
+        table.reshape(-1)[index] = _BIT[:m]
+        np.bitwise_or.accumulate(table, axis=1, out=table)
+        for r in range(d):
+            # prefixes nest, so XOR is the set difference; every index is
+            # in 0..n, and "clip" spares take a checked copy of ``out``
+            np.take(table[r], ends[r], axis=0, out=pair, mode="clip")
+            np.bitwise_xor(pair[0], pair[1], out=pair[1] if r else acc)
             if r:
-                np.logical_and(inside, tmp, out=inside)
+                np.bitwise_and(acc, pair[1], out=acc)
+        # summed down the transpose: numpy sums a short last axis slowly;
         # a count is at most n, so the ranks' dtype holds it
-        inside.sum(axis=1, dtype=ranks.dtype, out=out[lo:hi])
+        np.bitwise_count(acc.T, out=count)
+        out += np.add.reduce(count, axis=0, dtype=ranks.dtype)
 
 
 def _points_before(keys, n):

@@ -63,7 +63,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .linalg import DataMatrix
 from .model import BlockOrdering
-from .search import MAX_EXACT_P, ScoreRecord, SearchConfig, fit, group_search
+from .search import MAX_EXACT_P, ScoreRecord, SearchConfig, _worker_pool, fit, group_search
 from .strengths import assemble_model
 
 
@@ -469,14 +469,15 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
     trace: list[ScoreRecord] = []
     accumulated = PairOrderList.empty()
     runs: list[BlockOrdering] = []
-    for subset in cover.subsets:
-        closure = implied_constraints(accumulated)
-        if len(_adjacent_ranks(rank, subset)) == 0:
-            ordering = BlockOrdering((subset,))
-        else:
-            constraints = {pair for pair in permutations(subset, 2) if pair in closure}
-            constraints |= set(combinations(sorted(subset, key=rank.__getitem__), 2))
-            ordering = group_search(data.restrict(subset), subset, cfg, constraints, trace)
-        accumulated = merge_orders(accumulated, extract_pairs(ordering))
-        runs.append(ordering)
+    with _worker_pool(data.n_samples) as pool:
+        for subset in cover.subsets:
+            closure = implied_constraints(accumulated)
+            if len(_adjacent_ranks(rank, subset)) == 0:
+                ordering = BlockOrdering((subset,))
+            else:
+                constraints = {pair for pair in permutations(subset, 2) if pair in closure}
+                constraints |= set(combinations(sorted(subset, key=rank.__getitem__), 2))
+                ordering = group_search(data.restrict(subset), subset, cfg, constraints, trace, _pool=pool)
+            accumulated = merge_orders(accumulated, extract_pairs(ordering))
+            runs.append(ordering)
     return assemble_model(data, _order_cut(order, rank, runs)), trace

@@ -11,7 +11,8 @@ out a singleton (full-ordering mode).
 
 import math
 import os
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, NamedTuple
@@ -69,33 +70,56 @@ def independence_score(data: DataMatrix, subset, k: int) -> float:
     return mutual_information(x_s.values, resid.values, k)
 
 
-def _scores(data: DataMatrix, candidates, k: int) -> list[float]:
-    """``independence_score`` of each candidate, in enumeration order.
+@contextmanager
+def _worker_pool(n: int):
+    """Worker threads for the scores of a search over n samples, or None.
 
     When a kernel's pairwise pass spans more than one row block of int16
     grid distances (n > 512) and the affinity mask has more than one core,
-    ``cores - 1`` worker threads take the candidates in order, and the
-    calling thread scores every one that no worker has started.  Each score
-    is the same call on the same inputs, so the scores are bit-identical to
-    a serial loop.  A failure drops the candidates no thread has started,
-    joins the workers and raises the first failure in enumeration order.
+    this yields an executor of ``cores - 1`` threads, shut down on exit;
+    otherwise it yields None and candidates are scored serially.  ``fit``
+    and ``fit_large`` open one for the whole fit, so a fit starts its
+    threads once rather than once per level.
     """
     cores = len(os.sched_getaffinity(0))
-    if cores < 2 or 2 * data.n_samples**2 <= _CHUNK_BYTES:
-        return [independence_score(data, candidate, k) for candidate in candidates]
+    if cores < 2 or 2 * n**2 <= _CHUNK_BYTES:
+        yield None
+        return
     with ThreadPoolExecutor(cores - 1) as pool:
-        futures = [pool.submit(independence_score, data, candidate, k) for candidate in candidates]
-        try:
-            for i, candidate in enumerate(candidates):
-                if futures[i].cancel():
-                    futures[i] = Future()
-                    futures[i].set_result(independence_score(data, candidate, k))
-        except Exception as error:
-            # stored as a worker's error is, so the first failing candidate
-            # in enumeration order raises below
-            futures[i].set_exception(error)
-        finally:
-            pool.shutdown(cancel_futures=True)
+        yield pool
+
+
+def _scores(data: DataMatrix, candidates, k: int, pool: ThreadPoolExecutor | None = None) -> list[float]:
+    """``independence_score`` of each candidate, in enumeration order.
+
+    Without ``pool``, one is opened for this call alone when
+    ``_worker_pool``'s rule asks for threads.  The pool's workers take the
+    candidates in order, and the calling thread scores every one that no
+    worker has started.  Each score is the same call on the same inputs, so
+    the scores are bit-identical to a serial loop.  A failure drops the
+    candidates no thread has started, waits for the ones running and raises
+    the first failure in enumeration order; the pool stays open for the
+    caller.
+    """
+    if pool is None:
+        with _worker_pool(data.n_samples) as own:
+            if own is not None:
+                return _scores(data, candidates, k, own)
+        return [independence_score(data, candidate, k) for candidate in candidates]
+    futures = [pool.submit(independence_score, data, candidate, k) for candidate in candidates]
+    try:
+        for i, candidate in enumerate(candidates):
+            if futures[i].cancel():
+                futures[i] = Future()
+                futures[i].set_result(independence_score(data, candidate, k))
+    except Exception as error:
+        # stored as a worker's error is, so the first failing candidate
+        # in enumeration order raises below
+        futures[i].set_exception(error)
+    finally:
+        for future in futures:
+            future.cancel()
+        wait(futures)
     return [future.result() for future in futures]
 
 
@@ -135,6 +159,7 @@ def find_most_exogenous(
     constraints: Collection[tuple[int, int]] = (),
     trace: list[ScoreRecord] | None = None,
     level: int = 0,
+    _pool: ThreadPoolExecutor | None = None,
 ):
     """Lowest-scoring admissible subset of U and its score.
 
@@ -156,7 +181,7 @@ def find_most_exogenous(
     best_subset: tuple[int, ...] | None = None
     best_score = math.inf
     candidates = enumerate_candidates(members, constraints)
-    for candidate, score in zip(candidates, _scores(data, candidates, k)):
+    for candidate, score in zip(candidates, _scores(data, candidates, k, _pool)):
         if trace is not None:
             trace.append(ScoreRecord(level, candidate, score))
         if best_subset is None or score < best_score:
@@ -172,6 +197,7 @@ def group_search(
     constraints: Collection[tuple[int, int]] = (),
     trace: list[ScoreRecord] | None = None,
     _level: int = 0,
+    _pool: ThreadPoolExecutor | None = None,
 ) -> BlockOrdering:
     """Recursive ordered-block decomposition of U."""
     members = tuple(sorted(int(i) for i in u))
@@ -180,12 +206,12 @@ def group_search(
     if len(members) == 1:
         return BlockOrdering((members,))
     sub = data if set(data.variable_ids) == set(members) else data.restrict(members)
-    best, score = find_most_exogenous(sub, members, cfg, constraints, trace, _level)
+    best, score = find_most_exogenous(sub, members, cfg, constraints, trace, _level, _pool)
     if best is None or not score <= cfg.delta:
         return BlockOrdering((members,))
-    head = group_search(sub.restrict(best), best, cfg, constraints, trace, _level + 1)
+    head = group_search(sub.restrict(best), best, cfg, constraints, trace, _level + 1, _pool)
     rest = tuple(i for i in members if i not in set(best))
-    tail = group_search(residualize(sub, best), rest, cfg, constraints, trace, _level + 1)
+    tail = group_search(residualize(sub, best), rest, cfg, constraints, trace, _level + 1, _pool)
     return BlockOrdering(head.blocks + tail.blocks)
 
 
@@ -199,5 +225,6 @@ def fit(data: DataMatrix, cfg: SearchConfig | None = None):
     if set(data.variable_ids) != set(range(p)):
         raise InvalidInputError("fit expects a full matrix with variables 0..p-1")
     trace: list[ScoreRecord] = []
-    ordering = group_search(data, data.variable_ids, cfg, (), trace)
+    with _worker_pool(data.n_samples) as pool:
+        ordering = group_search(data, data.variable_ids, cfg, (), trace, _pool=pool)
     return assemble_model(data, ordering), trace

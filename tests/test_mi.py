@@ -169,8 +169,7 @@ class TestKernelsAgainstBruteForce:
             pts = rng.standard_normal((n, d))
         if chunk_rows is not None:
             # a few int16 grid rows per chunk, so chunk boundaries fall inside
-            # the data; the count's box test works on 8-bit ranks, twice as
-            # many rows per chunk
+            # the data; the count's column chunks are then one 64-point word
             monkeypatch.setattr(_kernels, "_CHUNK_BYTES", chunk_rows * n * 2)
         radii = _kernels.kth_neighbor_distance(pts, k)
         kth, counts = _brute_force(pts, k, radii)
@@ -194,7 +193,7 @@ class TestKernelsAgainstBruteForce:
         self.check(d, ties, chunk_rows, monkeypatch)
 
     def test_one_dimension_needs_no_pairwise_pass(self):
-        # 600 points would take two box-test blocks; one coordinate has none
+        # 600 points in more coordinates take a pairwise pass; one has none
         pts = np.random.default_rng(4).standard_normal((600, 1))
         radii = np.full(600, 0.01)
         assert np.array_equal(_kernels.count_within(pts, radii), _brute_force(pts, 1, radii)[1])
@@ -256,9 +255,10 @@ class TestKernelsAgainstBruteForce:
 @settings(max_examples=300, deadline=None)
 @given(
     d=st.integers(1, 5),
+    # 63-65 and 127-129: one or two 64-point words, and two or three;
     # 255/256: the last 8-bit and the first 16-bit ranks; 257: an odd size
     # with 16-bit ranks; 512/513: one 16-bit rank block or two
-    n=st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 512, 513])),
+    n=st.one_of(st.integers(1, 40), st.sampled_from([63, 64, 65, 127, 128, 129, 255, 256, 257, 512, 513])),
     small_blocks=st.booleans(),
     grid=st.booleans(),
     scale=st.sampled_from([1.0, 1e-300, 1e300]),
@@ -275,12 +275,65 @@ def test_count_equals_brute_force(d, n, small_blocks, grid, scale, seed):
     # distance stretched or shrunk
     other = cdist(pts, pts, "chebyshev")[np.arange(n), rng.integers(0, n, n)]
     radii = np.choose(rng.integers(0, 3, n), [np.zeros(n), other, other * rng.uniform(0.5, 1.5, n)])
-    # three float64 rows' worth of bytes per block: 24 rows of 8-bit ranks
-    # or 12 of 16-bit, so the box test runs in several blocks from n = 25
+    # three float64 rows' worth of bytes per block: too few for one word of
+    # prefix tables, so the count runs in one-word column chunks, several
+    # from n = 65
     chunk = 3 * 8 * n if small_blocks else _kernels._CHUNK_BYTES
     with mock.patch.object(_kernels, "_CHUNK_BYTES", chunk):
+        if small_blocks:
+            assert _kernels._chunk_words(d, n) == 1
         counts = _kernels.count_within(pts, radii)
     assert np.array_equal(counts, _brute_force(pts, 0, radii)[1])
+
+
+def _box_brute_force(ranks, first, width):
+    """Per point i, the points j with first[r, i] <= ranks[r, j] < first[r, i] + width[r, i] for all r."""
+    r, f, w = (a.astype(np.int64) for a in (ranks, first, width))
+    inside = (f[:, :, None] <= r[:, None, :]) & (r[:, None, :] < (f + w)[:, :, None])
+    return inside.all(axis=0).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 300])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("small_blocks", [False, True])
+def test_box_windows_at_the_rank_ends(n, d, small_blocks, monkeypatch):
+    # windows from rank 0, windows to rank n, whole and empty windows, and
+    # empty ones at either end, against the predicate itself
+    rng = np.random.default_rng(n + d)
+    dtype = np.min_scalar_type(n)
+    ranks = np.array([rng.permutation(n) for _ in range(d)], dtype=dtype)
+    first = rng.integers(0, n + 1, size=(d, n))
+    width = rng.integers(0, n + 1 - first)
+    edges = [(0, n), (0, 0), (n, 0), (0, 1), (n - 1, 1), (0, n // 2), (n // 2, n - n // 2)]
+    for i, (start, size) in enumerate(edges[:n]):
+        first[:, i], width[:, i] = start, size
+    # one coordinate's whole window leaves the others to decide
+    first[0, -1], width[0, -1] = 0, n
+    first, width = first.astype(dtype), width.astype(dtype)
+    if small_blocks:
+        monkeypatch.setattr(_kernels, "_CHUNK_BYTES", 8)
+        assert _kernels._chunk_words(d, n) == 1
+    out = np.empty(n, dtype=np.int64)
+    _kernels._box_rows(ranks, first, width, out)
+    assert np.array_equal(out, _box_brute_force(ranks, first, width))
+    assert out[0] == n and (n < 2 or out[1] == 0)
+
+
+def test_box_pass_memory_is_bounded():
+    # the pairwise stage alone, on the windows of a 4-d marginal at n = 3000:
+    # prefix tables, gathered rows and window ends, not an (n, n) box test
+    pts = np.random.default_rng(12).standard_normal((3000, 4))
+    radii = _kernels.kth_neighbor_distance(pts, 150)
+    ranks, first, width = _kernels._rank_windows(_kernels._coordinates(pts), radii)
+    out = np.empty(3000, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        _kernels._box_rows(ranks, first, width, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * 2**20
+    assert np.array_equal(out, _kernels.count_within(pts, radii) + (radii > 0))
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,6 +20,7 @@ from blockorder import (
     SearchTooLargeError,
     center,
     fit,
+    fit_large,
     generate_dataset,
 )
 from blockorder import search
@@ -240,7 +241,8 @@ def two_cores(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
-def serial_scores(data, candidates, k):
+def serial_scores(data, candidates, k, pool=None):
+    # takes and ignores the fit's pool, so that it can stand in for _scores
     return [independence_score(data, candidate, k) for candidate in candidates]
 
 
@@ -303,6 +305,25 @@ class TestConcurrentScoring:
             # repr round-trips every float, so equal reprs are equal bits
             outputs.append(((tmp_path / "model.json").read_bytes(), repr(trace)))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("how", ["fit", "fit_large"])
+    def test_one_fit_starts_one_thread(self, how, two_cores, monkeypatch):
+        # every level of every searched subset shares the fit's one worker
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        data, _ = generate_dataset(GenSpec(p=5, n=600, seed=7, mode="dag"))
+        before = threading.active_count()
+        _, trace = fit(data) if how == "fit" else fit_large(data, 3, 6)
+        assert threading.active_count() == before
+        # several levels, each of which used to start a thread of its own
+        assert len({(r.level, r.subset) for r in trace if r.level > 0}) > 1
+        assert len(started) == 1
 
     def test_scratch_memory_is_bounded(self, two_cores):
         # one MI call here holds about 1.5 MiB of kernel scratch, and two
@@ -376,6 +397,31 @@ class TestFailingCandidate:
         # had started were dropped
         assert caller and finished == started
         assert len(caller) + len(started) < len(enumerate_candidates(range(4)))
+
+    def test_failing_level_leaves_the_pool_open(self, two_cores, monkeypatch):
+        # a level's failure waits for its own running candidates, here a
+        # worker's candidate after the failing one, but leaves the fit's pool
+        # to the fit
+        data = center(np.random.default_rng(9).standard_normal((4, self.N)))
+        candidates = enumerate_candidates(range(4))
+        started, finished = [], []
+
+        def failing(data, subset, k):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.05)
+                raise RuntimeError("caller's candidate failed")
+            started.append(subset)
+            time.sleep(0.01 if subset == candidates[0] else 0.2)
+            finished.append(subset)
+            return 0.0
+
+        with search._worker_pool(self.N) as pool:
+            monkeypatch.setattr(search, "independence_score", failing)
+            with pytest.raises(RuntimeError, match="caller's candidate failed"):
+                search._scores(data, candidates, 30, pool)
+            assert started and finished == started
+            monkeypatch.setattr(search, "independence_score", lambda data, subset, k: float(sum(subset)))
+            assert search._scores(data, candidates, 30, pool) == [float(sum(c)) for c in candidates]
 
     def test_worker_failure_reaches_caller(self, two_cores, monkeypatch):
         def score(data, subset, k):
