@@ -59,16 +59,10 @@ n.  A chunk is a power-of-two number of words, as many as let its d tables
 of n + 1 rows and three gathered (n, words) arrays fit in ``_CHUNK_BYTES``
 together.
 
-Every call runs on the calling thread, one block or chunk after another.
-The cores are used one level up, where the work shares nothing: when the
-k-th kernel's int16 grid distances span at least two row blocks (n > 512),
-the exact search scores each level's candidates concurrently on one pool
-per fit, one thread per core of the process's affinity mask
-(``os.sched_getaffinity``) with the calling thread as one of them, and each
-kernel call allocates its own scratch.  A call computes the same arithmetic
-on the same inputs on whichever thread runs it, so results are
-bit-identical for any core count.  There is no setting for it: to use fewer
-cores, narrow the affinity mask (for example with ``taskset``).
+Every call runs on the calling thread, one block or chunk after another,
+and allocates its own scratch, so calls on different threads share nothing.
+A call computes the same arithmetic on the same inputs on whichever thread
+runs it, so its results are bit-identical on any thread.
 """
 
 import numpy as np

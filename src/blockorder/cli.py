@@ -58,7 +58,8 @@ def read_csv_matrix(path) -> DataMatrix:
     covariance of the centered columns cannot overflow.
     """
     path = Path(path)
-    with path.open("r", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports start with
+    with path.open("r", encoding="utf-8-sig") as handle:
         first = handle.readline()
     if not first.strip():
         raise InvalidInputError(f"{path}: empty input file")
@@ -70,7 +71,7 @@ def read_csv_matrix(path) -> DataMatrix:
     try:
         with warnings.catch_warnings():  # a file without data rows is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, encoding="utf-8")
+            table = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2, encoding="utf-8-sig")
     except ValueError as exc:
         raise InvalidInputError(f"{path}: could not parse CSV: {exc}") from exc
     if table.shape[0] < 2:
@@ -99,16 +100,22 @@ def _write_csv(path, header, rows) -> None:
             handle.write(",".join(str(cell) for cell in row) + "\n")
 
 
-def _check_outputs(*paths) -> None:
+def _check_outputs(*paths, source=None) -> None:
     """Reject an output path that cannot be written, before any work is done.
 
-    An unset (None) path is skipped.
+    An unset (None) path is skipped.  An output that resolves to the
+    ``source`` input or to another output would overwrite it.
     """
+    taken = {Path(source).resolve(): "the input"} if source else {}
     for path in map(Path, filter(None, paths)):
         if path.is_dir():
             raise InvalidInputError(f"{path}: is a directory, not an output file")
         if not path.parent.is_dir():
             raise InvalidInputError(f"{path}: {path.parent} is not an existing directory")
+        target = path.resolve()
+        if target in taken:
+            raise InvalidInputError(f"{path}: same file as {taken[target]}, which it would overwrite")
+        taken[target] = "another output"
 
 
 def write_csv_matrix(path, data: DataMatrix) -> None:
@@ -117,7 +124,7 @@ def write_csv_matrix(path, data: DataMatrix) -> None:
 
 def _cmd_fit(args) -> int:
     cfg = SearchConfig(delta=_parse_delta(args.delta), k=_parse_kneig(args.kneig))
-    _check_outputs(args.output, args.trace)
+    _check_outputs(args.output, args.trace, source=args.input)
     data = read_csv_matrix(args.input)
     if args.mode == "exact":
         model, trace = fit(data, cfg)

@@ -9,12 +9,15 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularMatrixError
+from .errors import DegenerateInputError, InvalidInputError, SingularMatrixError
 
 # A covariance block is solved with a diagonal ridge only when its condition
 # number exceeds this.
 COND_LIMIT = 1e12
 RIDGE_SCALE = 1e-8
+# A residual this small relative to its variable is rounding error: OLS on
+# an exactly collinear regressor set leaves about 1e-16 of the scale.
+COLLINEAR_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +47,16 @@ class DataMatrix:
         return self.values.shape[1]
 
     def restrict(self, ids: Iterable[int]) -> "DataMatrix":
-        """Sub-matrix holding only the given variables, in the given order."""
+        """Sub-matrix holding only the given variables, in the given order.
+
+        A variable whose row is zero throughout raises DegenerateInputError.
+        """
         wanted = tuple(int(i) for i in ids)
-        return _derived(self.values[_rows(self, wanted)], wanted)
+        values = self.values[_rows(self, wanted)]
+        if not values.any(axis=1).all():
+            flat = [i for i, row in zip(wanted, values) if not row.any()]
+            raise DegenerateInputError(f"variable(s) {flat} have zero variance")
+        return _derived(values, wanted)
 
 
 def _rows(data: DataMatrix, ids: tuple[int, ...]) -> list[int]:
@@ -125,6 +135,9 @@ def regress_on(data: DataMatrix, subset: Iterable[int]):
     s-th subset variable in the t-th remaining variable, and ``residuals`` is
     a DataMatrix over the remaining variables in their original order.  An
     x_S block that ``_solve_spd`` cannot solve raises SingularMatrixError.
+    A residual whose standard deviation is at most ``COLLINEAR_RTOL`` times
+    its variable's own in ``data`` (a variable that is, up to rounding, a
+    linear function of x_S) raises DegenerateInputError naming them all.
     """
     s_set = {int(i) for i in subset}
     s_ids = tuple(sorted(s_set))
@@ -135,7 +148,15 @@ def regress_on(data: DataMatrix, subset: Iterable[int]):
     rest_ids = tuple(data.variable_ids[r] for r in rest_pos)
     cross = covariance(data)[s_pos]
     beta = _solve_spd(cross[:, s_pos], cross[:, rest_pos])  # (|S|, |rest|)
-    resid = data.values[rest_pos] - beta.T @ data.values[s_pos]
+    own = data.values[rest_pos]
+    resid = own - beta.T @ data.values[s_pos]
+    kept = resid.std(axis=1) > COLLINEAR_RTOL * own.std(axis=1)
+    if not kept.all():
+        raise DegenerateInputError(
+            f"residual standard deviation at most {COLLINEAR_RTOL:g} of the variable's own for "
+            f"variable(s) {[v for v, ok in zip(rest_ids, kept) if not ok]} regressed on "
+            f"{list(s_ids)}: up to rounding, a linear function of them"
+        )
     return beta.T, _derived(resid, rest_ids)
 
 

@@ -2,7 +2,8 @@
 
 At each level, every admissible proper subset S of the working set U is
 scored by the mutual information between x_S and the residuals of the
-remaining variables regressed on x_S.  The minimizer splits U when its score
+remaining variables regressed on x_S (``regress_on`` rejects a residual of
+rounding size as collinear).  The minimizer splits U when its score
 is at or below the threshold delta; otherwise U stays together as one block.
 Recursion on the minimizer reuses the original columns; recursion on its
 complement uses the residual matrix.  With delta = +inf every block comes
@@ -17,16 +18,19 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, NamedTuple
 
-from ._kernels import _CHUNK_BYTES
-from .errors import DegenerateInputError, InvalidInputError, SearchTooLargeError
+from .errors import InvalidInputError, SearchTooLargeError
 from .linalg import DataMatrix, residualize
 from .mi import mutual_information
 from .model import BlockOrdering
-from .strengths import COLLINEAR_RTOL, assemble_model
+from .strengths import assemble_model
 
 DEFAULT_DELTA = 1e-2
 # Largest working set the exact search enumerates (2^p - 2 candidates).
 MAX_EXACT_P = 15
+# Candidates are scored on threads only above this many samples.  Measured on
+# a 2-core VM, threads made fits at n = 1000 and 2000 faster but a covering
+# fit at n = 200 slower (1.06 -> 1.63 s).
+THREADS_ABOVE_N = 512
 
 
 @dataclass(frozen=True)
@@ -50,39 +54,24 @@ class ScoreRecord(NamedTuple):
 
 
 def independence_score(data: DataMatrix, subset, k: int) -> float:
-    """MI between x_S and the residuals of the remaining variables on x_S.
-
-    A row of either whose standard deviation is at most ``COLLINEAR_RTOL``
-    times the same variable's in ``data`` raises ``DegenerateInputError``.
-    """
+    """MI between x_S and the residuals of the remaining variables on x_S."""
     s_ids = tuple(sorted(int(i) for i in subset))
     resid = residualize(data, s_ids)
-    x_s = data.restrict(s_ids)
-    floor = dict(zip(data.variable_ids, COLLINEAR_RTOL * data.values.std(axis=1)))
-    flat = [i for part in (x_s, resid)
-            for i, std in zip(part.variable_ids, part.values.std(axis=1)) if not std > floor[i]]
-    if flat:
-        raise DegenerateInputError(
-            f"standard deviation at most {COLLINEAR_RTOL:g} of the variable's own for variable(s) "
-            f"{flat} when scoring candidate {list(s_ids)}: up to rounding, a linear function of "
-            "the variables regressed out of them"
-        )
-    return mutual_information(x_s.values, resid.values, k)
+    return mutual_information(data.restrict(s_ids).values, resid.values, k)
 
 
 @contextmanager
 def _worker_pool(n: int):
     """Worker threads for the scores of a search over n samples, or None.
 
-    When a kernel's pairwise pass spans more than one row block of int16
-    grid distances (n > 512) and the affinity mask has more than one core,
-    this yields an executor of ``cores - 1`` threads, shut down on exit;
-    otherwise it yields None and candidates are scored serially.  ``fit``
-    and ``fit_large`` open one for the whole fit, so a fit starts its
-    threads once rather than once per level.
+    When n exceeds ``THREADS_ABOVE_N`` and the affinity mask has more than
+    one core, this yields an executor of ``cores - 1`` threads, shut down on
+    exit; otherwise it yields None and candidates are scored serially.
+    ``fit`` and ``fit_large`` open one for the whole fit, so a fit starts
+    its threads once rather than once per level.
     """
     cores = len(os.sched_getaffinity(0))
-    if cores < 2 or 2 * n**2 <= _CHUNK_BYTES:
+    if cores < 2 or n <= THREADS_ABOVE_N:
         yield None
         return
     with ThreadPoolExecutor(cores - 1) as pool:

@@ -5,18 +5,15 @@ blocks (the ordering carries no sparsity information, so non-parents simply
 estimate near zero).  Within-block entries stay exactly zero; what the model
 cannot orient is reported instead as the covariance of each block's
 variables after the earlier blocks' effects are removed.  Both search modes
-turn their ordering into a model through ``assemble_model``.
+turn their ordering into a model through ``assemble_model``.  Degenerate
+variables fail in ``regress_on`` and ``DataMatrix.restrict``.
 """
 
 import numpy as np
 
-from .errors import DegenerateInputError, InvalidInputError
+from .errors import InvalidInputError
 from .linalg import DataMatrix, covariance, regress_on
 from .model import BlockOrdering, ChainGraphModel
-
-# A residual this small relative to its variable is rounding error: OLS on
-# an exactly collinear predecessor set leaves about 1e-16 of the scale.
-COLLINEAR_RTOL = 1e-8
 
 
 def estimate_strengths(data: DataMatrix, ordering: BlockOrdering):
@@ -41,8 +38,7 @@ def estimate_strengths(data: DataMatrix, ordering: BlockOrdering):
         if predecessors:
             # regress_on orders its coefficient columns by sorted id
             preds = sorted(predecessors)
-            sub = data.restrict(preds + members)
-            coef, resid = regress_on(sub, preds)
+            coef, resid = regress_on(data.restrict(preds + members), preds)
             b[np.ix_(members, preds)] = coef
             within.append(covariance(resid))
         else:
@@ -56,20 +52,10 @@ def assemble_model(data: DataMatrix, ordering: BlockOrdering) -> ChainGraphModel
 
     Strengths and per-block residual covariances come from
     ``estimate_strengths``; each variable's noise scale is the square root of
-    its own residual variance in its block.  A noise scale of at most
-    ``COLLINEAR_RTOL`` times the variable's own standard deviation (a
-    variable that is, up to rounding, a linear function of its predecessors)
-    raises ``DegenerateInputError``.
+    its own residual variance in its block.
     """
     b, within = estimate_strengths(data, ordering)
     noise_std = np.zeros(data.n_variables)
     for block, cov in zip(ordering.blocks, within):
         noise_std[list(block)] = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    degenerate = np.flatnonzero(noise_std <= COLLINEAR_RTOL * data.values.std(axis=1))
-    if degenerate.size:
-        raise DegenerateInputError(
-            f"residual standard deviation at most {COLLINEAR_RTOL:g} of the variable's own for "
-            f"variable(s) {degenerate.tolist()}: up to rounding, a linear function of the variables "
-            "ordered before them"
-        )
     return ChainGraphModel(b, ordering, noise_std, tuple(within))

@@ -42,6 +42,16 @@ def example_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fails the test if the command reads, fits or simulates anything."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the output paths were checked")
+
+    for name in ("read_csv_matrix", "fit", "fit_large", "generate_dataset"):
+        monkeypatch.setattr(f"blockorder.cli.{name}", fail)
+
+
 class TestSimulate:
     def test_writes_data_and_truth(self, tmp_path):
         data_path = tmp_path / "data.csv"
@@ -245,11 +255,11 @@ class TestEstimationFailure:
 
     def test_duplicated_column_in_large_mode_exits_one(self, tmp_path):
         # the second copy of column 0 has a residual of exactly zero variance
-        # once the first is ordered before it
+        # once it is regressed on the first
         assert self.large_mode_lines(self.duplicated_column_csv(tmp_path, 5), tmp_path) == [
             "blockorder: estimation failed: residual standard deviation at most 1e-08 of the "
-            "variable's own for variable(s) [1]: up to rounding, a linear function of the "
-            "variables ordered before them"]
+            "variable's own for variable(s) [1] regressed on [0]: up to rounding, a linear "
+            "function of them"]
 
     def test_rounding_error_residual_in_large_mode_exits_one(self, tmp_path):
         # regressed on two variables, the copy keeps a residual of rounding
@@ -266,9 +276,9 @@ class TestEstimationFailure:
                                   "--output", tmp_path / "m.json"])
         assert code == 1
         assert lines == [
-            "blockorder: estimation failed: standard deviation at most 1e-08 of the variable's "
-            "own for variable(s) [1] when scoring candidate [0]: up to rounding, a linear "
-            "function of the variables regressed out of them"]
+            "blockorder: estimation failed: residual standard deviation at most 1e-08 of the "
+            "variable's own for variable(s) [1] regressed on [0]: up to rounding, a linear "
+            "function of them"]
 
 
 class TestCsvReading:
@@ -324,16 +334,43 @@ class TestCsvReading:
     ], ids=["fit-output-dir-missing", "fit-output-is-dir", "fit-trace-is-dir",
             "fit-trace-dir-missing", "benchmark-report-dir-missing", "benchmark-report-is-dir",
             "simulate-truth-is-dir"])
-    def test_unusable_output_exits_two_before_any_work(self, argv, example_csv, tmp_path, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started before the output paths were checked")
-
-        for name in ("read_csv_matrix", "fit", "fit_large", "generate_dataset"):
-            monkeypatch.setattr(f"blockorder.cli.{name}", no_work)
+    def test_unusable_output_exits_two_before_any_work(self, argv, example_csv, tmp_path, no_work):
         code, lines = run_stderr([arg.format(csv=example_csv, tmp=tmp_path) for arg in argv])
         assert code == 2
         assert len(lines) == 1 and lines[0].startswith("blockorder: error:")
         assert list(tmp_path.iterdir()) == []  # no partial output
+
+    @pytest.mark.parametrize("argv,clash", [
+        (["fit", "--input", "d.csv", "--output", "./d.csv"], "d.csv: same file as the input"),
+        (["fit", "--input", "d.csv", "--output", "m.json", "--trace", "link.csv"],
+         "link.csv: same file as the input"),
+        (["fit", "--input", "d.csv", "--output", "m.json", "--trace", "m.json"],
+         "m.json: same file as another output"),
+        (["simulate", "--mode", "eq4", "--n", "100", "--output", "x", "--truth", "x"],
+         "x: same file as another output"),
+    ], ids=["fit-output-is-input", "fit-trace-links-to-input", "fit-trace-is-output",
+            "simulate-truth-is-output"])
+    def test_output_that_overwrites_another_file_exits_two(self, argv, clash, example_csv, tmp_path,
+                                                           no_work, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "d.csv"
+        data.write_bytes(example_csv.read_bytes())
+        (tmp_path / "link.csv").symlink_to(data)
+        assert run_stderr(argv) == (2, [f"blockorder: error: {clash}, which it would overwrite"])
+        assert data.read_bytes() == example_csv.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "link.csv"]
+
+    @pytest.mark.parametrize("header", ["", "x0,x1\n"], ids=["headerless", "header"])
+    def test_byte_order_mark_is_skipped(self, header, tmp_path):
+        # spreadsheet exports start with one; read as data, it made the
+        # first sample look like a header
+        rows = header + "1.5,2.0\n2.0,1.0\n3.0,3.5\n4.0,0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(rows, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + rows.encode("utf-8"))
+        data = read_csv_matrix(marked)
+        assert data.n_samples == 4
+        assert np.array_equal(data.values, read_csv_matrix(plain).values)
 
     def test_header_only_csv_is_one_line(self, tmp_path):
         path = tmp_path / "empty.csv"

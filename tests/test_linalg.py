@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from blockorder import DataMatrix, InvalidInputError, SingularMatrixError, center
+from blockorder import DataMatrix, DegenerateInputError, InvalidInputError, SingularMatrixError, center
 from blockorder.linalg import COND_LIMIT, RIDGE_SCALE, _solve_spd, covariance, regress_on, residualize
 
 
@@ -129,10 +129,18 @@ class TestResidualize:
         assert np.array_equal(out.values, x_r)
 
     def test_perfect_linear_dependence_zero_residual(self):
+        # a residual of rounding size is collinearity, not data
         base = center(np.array([[1.0, 2.0, -3.0, 0.5, -0.5]])).values[0]
         data = DataMatrix(np.vstack([base, 2.0 * base]), (0, 1))
-        out = residualize(data, (0,))
-        assert np.abs(out.values).max() < 1e-12
+        with pytest.raises(DegenerateInputError, match=r"variable\(s\) \[1\] regressed on \[0\]"):
+            residualize(data, (0,))
+
+    def test_small_residual_above_the_threshold_is_kept(self):
+        rng = np.random.default_rng(3)
+        base, noise = center(rng.standard_normal((2, 200))).values
+        data = DataMatrix(np.vstack([base, 3.0 * base + 1e-6 * noise]), (0, 1))
+        ratio = residualize(data, (0,)).values.std() / data.values[1].std()
+        assert 1e-7 < ratio < 1e-5
 
     def test_matches_normal_equations_oracle(self):
         rng = np.random.default_rng(11)

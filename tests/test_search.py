@@ -89,7 +89,7 @@ class TestIndependenceScore:
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal(200)
         data = center(np.vstack([x0, 3.0 * x0 + 1e-12 * rng.standard_normal(200), rng.standard_normal(200)]))
-        with pytest.raises(DegenerateInputError, match=r"variable\(s\) \[1\] when scoring candidate \[0\]"):
+        with pytest.raises(DegenerateInputError, match=r"variable\(s\) \[1\] regressed on \[0\]"):
             independence_score(data, (0,), 10)
 
 
@@ -199,6 +199,12 @@ class TestFit:
         assert np.array_equal(model.b, np.zeros((1, 1)))
         assert trace == []
 
+    def test_single_zero_variance_variable_is_degenerate(self):
+        # the first block is never regressed, yet its zero row still fails
+        # as degenerate data rather than as an invalid model
+        with pytest.raises(DegenerateInputError):
+            fit(DataMatrix(np.zeros((1, 10)), (0,)))
+
     def test_refuses_too_many_variables(self):
         data = center(np.random.default_rng(2).standard_normal((16, 60)))
         with pytest.raises(SearchTooLargeError):
@@ -265,7 +271,7 @@ class TestConcurrentScoring:
         assert threading.active_count() == before
         return {count - before for count in seen}
 
-    # int16 grid distances fill a 512 KiB block at n = 512
+    # search.THREADS_ABOVE_N is 512
     @pytest.mark.parametrize("n,threads", [(512, False), (513, True)])
     def test_only_multi_block_data_uses_threads(self, n, threads, two_cores, monkeypatch):
         assert self.threads_seen(n, monkeypatch) == ({1} if threads else {0})
