@@ -39,25 +39,28 @@ the same bits as from the full distance matrix.
 
 The count kernel builds no distances.  Point j is inside point i's radius
 eps_i when ``|x_ri - x_rj| < eps_i`` in every coordinate r, each difference
-rounded as a float64 subtraction rounds it.  Rounding is monotone, so along
-a sorted coordinate those j form one contiguous range of ranks.  One sort of
-the points together with the keys ``x_ri - eps_i`` guesses where each range
-starts (and, on ``-x``, where it ends); each end is then checked with the
-predicate itself and moved past whole runs of equal values until the check
-holds, so the range is exact.  In one dimension the count is the range's
-length.  In more, the pairwise pass works on bitsets of 64 points per
-machine word.  For a column chunk of points and each coordinate r, row c of
-a prefix table holds the bits of the chunk's points whose rank is below c:
-one bit is set in row ``rank + 1`` of each point, since ranks are a
-permutation, and the rows are OR-accumulated.  Point i's window in r is
-then ``table[first + width] ^ table[first]``, since the prefixes nest, and
-its count is the popcount of its windows ANDed across coordinates, summed
-over the chunks.  That is exactly the window test ``first_i <= rank_j <
-first_i + width_i``, and both rows exist since ``first_i + width_i <= n``,
-so the counts are the same integers as from the distance matrix, at every
-n.  A chunk is a power-of-two number of words, as many as let its d tables
-of n + 1 rows and three gathered (n, words) arrays fit in ``_CHUNK_BYTES``
-together.
+rounded as a float64 subtraction rounds it.  Rounding is monotone, so along a
+sorted coordinate those j form one contiguous range of ranks, with the j of
+``fl(x_ri - x_rj) >= eps_i`` below it and those of ``fl(x_rj - x_ri) >=
+eps_i`` above it.  One argsort per coordinate of the n points together with
+the keys ``x_ri - eps_i`` and ``x_ri + eps_i`` gives every point's rank and
+guesses where each range starts and ends.  Each end is then checked with the
+predicate itself, the start along the sorted x and the end along the sorted
+-x, which is the same row reversed and negated, and moved past whole runs of
+equal values until the check holds, so the range is exact.  In one dimension
+the count is the range's length.  In more, the pairwise pass works on bitsets
+of 64 points per machine word.  For a column chunk of points and each
+coordinate r, row c of a prefix table holds the bits of the chunk's points
+whose rank is below c: one bit is set in row ``rank + 1`` of each point,
+since ranks are a permutation, and the rows are OR-accumulated.  Point i's
+window in r is then ``table[first + width] ^ table[first]``, since the
+prefixes nest, and its count is the popcount of its windows ANDed across
+coordinates, summed over the chunks.  That is exactly the window test
+``first_i <= rank_j < first_i + width_i``, and both rows exist since
+``first_i + width_i <= n``, so the counts are the same integers as from the
+distance matrix, at every n.  A chunk is a power-of-two number of words, as
+many as let its d tables of n + 1 rows and three gathered (n, words) arrays
+fit in ``_CHUNK_BYTES`` together.
 
 Every call runs on the calling thread, one block or chunk after another,
 and allocates its own scratch, so calls on different threads share nothing.
@@ -195,18 +198,6 @@ def _box_rows(ranks, first, width, out):
         out += np.add.reduce(count, axis=0, dtype=ranks.dtype)
 
 
-def _points_before(keys, n):
-    """Per entry of each row of ``keys``, how many of the row's first n sort before it.
-
-    One sort per row: for one of the first n entries this is its rank.
-    """
-    order = np.argsort(keys, axis=1)
-    is_point = order < n
-    before = np.empty(keys.shape, dtype=np.int32)
-    np.put_along_axis(before, order, np.cumsum(is_point, axis=1, dtype=np.int32) - is_point, axis=1)
-    return before
-
-
 def _rank_windows(cols, radii):
     """Per coordinate, each point's rank and the ranks within its radius.
 
@@ -217,31 +208,40 @@ def _rank_windows(cols, radii):
     """
     d, n = cols.shape
     # x_j is below x_i's window when x_i - x_j >= eps_i and above it when
-    # (-x_i) - (-x_j) >= eps_i, each difference rounded as the k-th kernel
-    # rounds it; rounding is monotone, so along a sorted coordinate the test
-    # holds on a prefix, and its length is what is searched for, on x and -x
-    keys = np.empty((2 * d, 2 * n))
-    signed = keys[:, :n]
-    signed[:d] = cols
-    np.negative(cols, out=signed[d:])
-    np.subtract(signed, radii, out=keys[:, n:])
-    # the number of points before a key x_i - eps_i guesses the prefix's length
-    before = _points_before(keys, n)
+    # (-x_i) - (-x_j) >= eps_i, rounded as the k-th kernel rounds; each test
+    # holds on a prefix of the sorted x or -x, whose length is searched for
+    keys = np.empty((d, 3 * n))
+    keys[:, :n] = cols
+    np.subtract(cols, radii, out=keys[:, n : 2 * n])
+    np.add(cols, radii, out=keys[:, 2 * n :])
+    # one sort per coordinate: the points before a point are its rank, and
+    # those before x_i - eps_i and after x_i + eps_i guess the two prefixes
+    order = np.argsort(keys, axis=1)
+    del keys
+    is_point = order < n
+    before = np.empty(order.shape, dtype=np.int32)
+    np.put_along_axis(before, order, np.cumsum(is_point, axis=1, dtype=np.int32) - is_point, axis=1)
+    del order, is_point
+    dtype = np.min_scalar_type(n)
+    ranks = before[:, :n].astype(dtype)
     # each sorted row between sentinels, -inf and +inf, which the test always
     # and never passes, so a prefix of length c ends between flat[row + c]
-    # and flat[row + c + 1]
+    # and flat[row + c + 1]; sorted -x is sorted x reversed and negated
     padded = np.full((2 * d, n + 2), np.inf)
     padded[:, 0] = -np.inf
-    padded[:, 1:-1] = np.sort(signed, axis=1)
+    padded[:d, 1:-1] = np.sort(cols, axis=1)
+    np.negative(padded[:d, -2:0:-1], out=padded[d:, 1:-1])
     flat = padded.ravel()
     row = np.arange(0, flat.size, n + 2)[:, None]
+    end = row + np.concatenate((before[:, n : 2 * n], n - before[:, 2 * n :]))
+    del before
     # ``starts`` holds the flat position of each run of equal values, and
     # ``run`` the run of each position, so an end moves past a whole run
     changes = np.ones(flat.size, dtype=bool)
     np.not_equal(flat[1:], flat[:-1], out=changes[1:])
     starts = np.flatnonzero(changes)
     run = np.cumsum(changes, dtype=np.int32) - 1
-    end = row + before[:, n:]
+    signed = np.concatenate((cols, -cols))
     while True:
         right = signed - flat[end + 1] >= radii
         left = ~(signed - flat[end] >= radii)
@@ -251,8 +251,7 @@ def _rank_windows(cols, radii):
         end[left] = starts[run[end[left]]] - 1
     below = end - row
     first, last = below[:d], n - below[d:]
-    dtype = np.min_scalar_type(n)
-    return before[:d, :n].astype(dtype), first.astype(dtype), np.maximum(last - first, 0).astype(dtype)
+    return ranks, first.astype(dtype), np.maximum(last - first, 0).astype(dtype)
 
 
 def kth_neighbor_distance(points, k):

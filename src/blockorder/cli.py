@@ -60,14 +60,15 @@ def read_csv_matrix(path) -> DataMatrix:
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
     with path.open("r", encoding="utf-8-sig") as handle:
-        first = handle.readline()
-    if not first.strip():
+        # the header is sniffed on the first non-blank line, and loadtxt skips
+        # the lines before it too, since it rejects a line of spaces
+        skip, first = next(((i, line) for i, line in enumerate(handle) if line.strip()), (0, ""))
+    if not first:
         raise InvalidInputError(f"{path}: empty input file")
     try:
         [float(tok) for tok in first.strip().split(",")]
-        skip = 0
     except ValueError:
-        skip = 1
+        skip += 1
     try:
         with warnings.catch_warnings():  # a file without data rows is reported below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")

@@ -372,6 +372,21 @@ class TestCsvReading:
         assert data.n_samples == 4
         assert np.array_equal(data.values, read_csv_matrix(plain).values)
 
+    @pytest.mark.parametrize("header", ["", "x0,x1\n"], ids=["headerless", "header"])
+    @pytest.mark.parametrize("blank", ["\n", "   \n", "\n \t\n"], ids=["empty", "spaces", "two"])
+    def test_leading_blank_lines_are_skipped(self, header, blank, tmp_path):
+        # only the first line was sniffed, so a blank one read as an empty file
+        path = tmp_path / "blank.csv"
+        path.write_text(blank + header + "1,2\n3,5\n5,6\n")
+        assert read_csv_matrix(path).n_samples == 3
+        assert run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json"]) == (0, [])
+
+    def test_blank_lines_only_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n   \n\n")
+        code, lines = run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json"])
+        assert (code, lines) == (2, [f"blockorder: error: {path}: empty input file"])
+
     def test_header_only_csv_is_one_line(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x0,x1\n")

@@ -252,6 +252,21 @@ class TestKernelsAgainstBruteForce:
         assert peak < 8 * 2**20
 
 
+def _tied_points_and_radii(d, n, grid, scale, seed):
+    """(n, d) points and per-point radii that hit the count's edge cases."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        # integer grid points: ties in every coordinate and between distances
+        pts = rng.integers(0, 4, size=(n, d)).astype(float) * scale
+    else:
+        pts = rng.standard_normal((n, d)) * scale
+    # per point a radius of 0, exactly the distance to some point, or that
+    # distance stretched or shrunk
+    other = cdist(pts, pts, "chebyshev")[np.arange(n), rng.integers(0, n, n)]
+    radii = np.choose(rng.integers(0, 3, n), [np.zeros(n), other, other * rng.uniform(0.5, 1.5, n)])
+    return pts, radii
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     d=st.integers(1, 5),
@@ -265,16 +280,7 @@ class TestKernelsAgainstBruteForce:
     seed=st.integers(0, 2**32 - 1),
 )
 def test_count_equals_brute_force(d, n, small_blocks, grid, scale, seed):
-    rng = np.random.default_rng(seed)
-    if grid:
-        # integer grid points: ties in every coordinate and between distances
-        pts = rng.integers(0, 4, size=(n, d)).astype(float) * scale
-    else:
-        pts = rng.standard_normal((n, d)) * scale
-    # per point a radius of 0, exactly the distance to some point, or that
-    # distance stretched or shrunk
-    other = cdist(pts, pts, "chebyshev")[np.arange(n), rng.integers(0, n, n)]
-    radii = np.choose(rng.integers(0, 3, n), [np.zeros(n), other, other * rng.uniform(0.5, 1.5, n)])
+    pts, radii = _tied_points_and_radii(d, n, grid, scale, seed)
     # three float64 rows' worth of bytes per block: too few for one word of
     # prefix tables, so the count runs in one-word column chunks, several
     # from n = 65
@@ -284,6 +290,46 @@ def test_count_equals_brute_force(d, n, small_blocks, grid, scale, seed):
             assert _kernels._chunk_words(d, n) == 1
         counts = _kernels.count_within(pts, radii)
     assert np.array_equal(counts, _brute_force(pts, 0, radii)[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n=st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257])),
+    grid=st.booleans(),
+    scale=st.sampled_from([1.0, 1e-300, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_windows_equal_brute_force(d, n, grid, scale, seed):
+    # each window's ends against the predicate the end check applies:
+    # first_i = #{j: fl(x_i - x_j) >= eps_i}, and the points above the
+    # window the same test on -x
+    pts, radii = _tied_points_and_radii(d, n, grid, scale, seed)
+    cols = _kernels._coordinates(pts)
+    ranks, first, width = _kernels._rank_windows(cols, radii)
+    below = (cols[:, :, None] - cols[:, None, :] >= radii[:, None]).sum(axis=2)
+    above = (-cols[:, :, None] - -cols[:, None, :] >= radii[:, None]).sum(axis=2)
+    assert ranks.dtype == first.dtype == width.dtype == np.min_scalar_type(n)
+    assert np.array_equal(first, below)
+    assert np.array_equal(width, np.maximum(n - below - above, 0))
+    # the ranks are a permutation of 0..n-1 that sorts each coordinate
+    assert np.array_equal(np.sort(ranks, axis=1), np.broadcast_to(np.arange(n), (d, n)))
+    assert (np.diff(np.take_along_axis(cols, np.argsort(ranks, axis=1), axis=1), axis=1) >= 0).all()
+
+
+def test_rank_windows_memory_is_bounded():
+    # the d x 3n keys and their argsort are freed before the end checks, so
+    # at most the 2d sorted rows, their run tables and the ends are held
+    pts = np.random.default_rng(12).standard_normal((3000, 4))
+    radii = _kernels.kth_neighbor_distance(pts, 150)
+    cols = _kernels._coordinates(pts)
+    tracemalloc.start()
+    try:
+        _kernels._rank_windows(cols, radii)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 2**20
 
 
 def _box_brute_force(ranks, first, width):
