@@ -101,14 +101,22 @@ def _write_csv(path, header, rows) -> None:
             handle.write(",".join(str(cell) for cell in row) + "\n")
 
 
+def _output_path(text) -> Path:
+    """``text`` as an output file's path; an empty one, ``.`` or ``/`` names no file."""
+    path = Path(text)
+    if not path.name:
+        raise InvalidInputError(f"{str(text)!r} is not an output file name")
+    return path
+
+
 def _check_outputs(*paths, source=None) -> None:
     """Reject an output path that cannot be written, before any work is done.
 
-    An unset (None) path is skipped.  An output that resolves to the
+    Only an unset (None) path is skipped.  An output that resolves to the
     ``source`` input or to another output would overwrite it.
     """
     taken = {Path(source).resolve(): "the input"} if source else {}
-    for path in map(Path, filter(None, paths)):
+    for path in (_output_path(path) for path in paths if path is not None):
         if path.is_dir():
             raise InvalidInputError(f"{path}: is a directory, not an output file")
         if not path.parent.is_dir():
@@ -142,7 +150,7 @@ def _cmd_fit(args) -> int:
         "seed": args.seed,
     }
     write_model_json(args.output, model, params)
-    if args.trace:
+    if args.trace is not None:
         rows = ((r.level, ";".join(str(i) for i in r.subset), float(r.score)) for r in trace)
         _write_csv(args.trace, ("level", "subset", "score"), rows)
     return 0
@@ -175,7 +183,7 @@ def _cmd_benchmark(args) -> int:
         raise InvalidInputError("--trials must be >= 1")
     cfg = SearchConfig(delta=_parse_delta(args.delta))
     mode = _CLI_MODES[args.mode]
-    report_path = Path(args.report)
+    report_path = _output_path(args.report)
     scatter_path = report_path.with_name(report_path.stem + "_scatter" + (report_path.suffix or ".csv"))
     _check_outputs(report_path, scatter_path)
     rows = []

@@ -31,9 +31,10 @@ and the closure taken by repeated squaring.  Mutually reachable variables
 form one merged group, so a directed cycle among accumulated pairs
 (possible under sampling noise) collapses into a group; the pairs reachable
 in one direction only are the transitive closure.  ``build_block_order``
-sorts the condensation topologically, with incomparable nodes ordered by
-smallest member index.  Variables a subset run leaves in one block simply
-contribute no facts (merging them would overstate confounding).
+orders these groups and singletons, each step taking the one holding the
+smallest variable that no unplaced variable strictly reaches.  Variables a
+subset run leaves in one block contribute no facts (merging them would
+overstate confounding).
 
 Since precedence is transitive, each run is constrained by the part of the
 closure of everything accumulated so far that lies inside its subset: a
@@ -52,7 +53,6 @@ that holds no two neighbours in the order, which could not join any, is not
 searched at all.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -189,45 +189,30 @@ def extract_pairs(ordering: BlockOrdering) -> list[tuple[int, int]]:
 def build_block_order(k: PairOrderList, p: int) -> BlockOrdering:
     """Global ordering over 0..p-1 from accumulated pairs and merged groups.
 
-    Groups become blocks, remaining variables become singletons, and the
-    condensation is sorted topologically with ties broken by smallest member
-    index.
+    The blocks are the mutual-reachability classes; one of two or more that
+    is not among ``k.groups`` is a cycle.  Each step emits the class of the
+    smallest unplaced variable that no unplaced variable strictly reaches.
     """
-    grouped: dict[int, int] = {}
-    blocks: list[tuple[int, ...]] = []
-    for group in k.groups:
-        for member in group:
-            if member >= p or member < 0:
-                raise InvalidInputError(f"variable {member} out of range for p={p}")
-            grouped[member] = len(blocks)
-        blocks.append(group)
-    for v in range(p):
-        if v not in grouped:
-            grouped[v] = len(blocks)
-            blocks.append((v,))
-
-    successors: list[set[int]] = [set() for _ in blocks]
-    indegree = [0] * len(blocks)
+    for v in (v for group in k.groups for v in group):
+        if not 0 <= v < p:
+            raise InvalidInputError(f"variable {v} out of range for p={p}")
     for a, b in k.pairs:
-        if a >= p or b >= p or a < 0 or b < 0:
+        if not (0 <= a < p and 0 <= b < p):
             raise InvalidInputError(f"pair ({a}, {b}) out of range for p={p}")
-        na, nb = grouped[a], grouped[b]
-        if na != nb and nb not in successors[na]:
-            successors[na].add(nb)
-            indegree[nb] += 1
-
-    ready = [(block[0], idx) for idx, block in enumerate(blocks) if indegree[idx] == 0]
-    heapq.heapify(ready)
-    ordered: list[tuple[int, ...]] = []
-    while ready:
-        _, idx = heapq.heappop(ready)
-        ordered.append(blocks[idx])
-        for succ in sorted(successors[idx]):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, (blocks[succ][0], succ))
-    if len(ordered) != len(blocks):
+    nodes, closure = _reachability(k.pairs, k.groups)
+    reach = np.eye(p, dtype=bool)
+    reach[np.ix_(nodes, nodes)] = closure
+    mutual = reach & reach.T
+    classes = {tuple(np.flatnonzero(row).tolist()) for row in mutual}
+    if any(len(c) > 1 for c in classes - {tuple(sorted(g)) for g in k.groups}):
         raise InvalidInputError("precedence relation is cyclic; collapse cycles with merge_orders")
+    strict = reach & ~mutual
+    unplaced = np.ones(p, dtype=bool)
+    ordered: list[tuple[int, ...]] = []
+    while unplaced.any():
+        block = np.flatnonzero(mutual[np.argmax(unplaced & ~strict[unplaced].any(axis=0))])
+        ordered.append(tuple(block.tolist()))
+        unplaced[block] = False
     return BlockOrdering(tuple(ordered))
 
 

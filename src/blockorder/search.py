@@ -67,8 +67,8 @@ def _worker_pool(n: int):
     When n exceeds ``THREADS_ABOVE_N`` and the affinity mask has more than
     one core, this yields an executor of ``cores - 1`` threads, shut down on
     exit; otherwise it yields None and candidates are scored serially.
-    ``fit`` and ``fit_large`` open one for the whole fit, so a fit starts
-    its threads once rather than once per level.
+    Only ``fit`` and ``fit_large`` open one, for the whole fit, so a fit
+    starts its threads once rather than once per level.
     """
     cores = len(os.sched_getaffinity(0))
     if cores < 2 or n <= THREADS_ABOVE_N:
@@ -81,19 +81,15 @@ def _worker_pool(n: int):
 def _scores(data: DataMatrix, candidates, k: int, pool: ThreadPoolExecutor | None = None) -> list[float]:
     """``independence_score`` of each candidate, in enumeration order.
 
-    Without ``pool``, one is opened for this call alone when
-    ``_worker_pool``'s rule asks for threads.  The pool's workers take the
-    candidates in order, and the calling thread scores every one that no
-    worker has started.  Each score is the same call on the same inputs, so
-    the scores are bit-identical to a serial loop.  A failure drops the
-    candidates no thread has started, waits for the ones running and raises
-    the first failure in enumeration order; the pool stays open for the
-    caller.
+    Without ``pool`` the candidates are scored serially.  With it, the
+    pool's workers take the candidates in order, and the calling thread
+    scores every one that no worker has started.  Each score is the same
+    call on the same inputs, so the scores are bit-identical to a serial
+    loop.  A failure drops the candidates no thread has started, waits for
+    the ones running and raises the first failure in enumeration order; the
+    pool stays open for the caller.
     """
     if pool is None:
-        with _worker_pool(data.n_samples) as own:
-            if own is not None:
-                return _scores(data, candidates, k, own)
         return [independence_score(data, candidate, k) for candidate in candidates]
     futures = [pool.submit(independence_score, data, candidate, k) for candidate in candidates]
     try:

@@ -340,6 +340,26 @@ class TestCsvReading:
         assert len(lines) == 1 and lines[0].startswith("blockorder: error:")
         assert list(tmp_path.iterdir()) == []  # no partial output
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--input", "{csv}", "--output", ""],
+        ["fit", "--input", "{csv}", "--output", "m.json", "--trace", ""],
+        ["simulate", "--mode", "eq4", "--n", "100", "--output", "", "--truth", "t.json"],
+        ["simulate", "--mode", "eq4", "--n", "100", "--output", "d.csv", "--truth", ""],
+        ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", ""],
+        ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", "."],
+        ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", "/"],
+    ], ids=["fit-output-empty", "fit-trace-empty", "simulate-output-empty", "simulate-truth-empty",
+            "benchmark-report-empty", "benchmark-report-dot", "benchmark-report-root"])
+    def test_output_that_names_no_file_exits_two_before_any_work(self, argv, example_csv, tmp_path,
+                                                                 no_work, monkeypatch):
+        # an empty path is given, not unset; "." and "/" leave no name for
+        # the report's companion scatter file
+        monkeypatch.chdir(tmp_path)
+        code, lines = run_stderr([arg.format(csv=example_csv) for arg in argv])
+        assert code == 2
+        assert len(lines) == 1 and lines[0].endswith("is not an output file name")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv,clash", [
         (["fit", "--input", "d.csv", "--output", "./d.csv"], "d.csv: same file as the input"),
         (["fit", "--input", "d.csv", "--output", "m.json", "--trace", "link.csv"],

@@ -146,6 +146,48 @@ class TestImpliedConstraints:
         assert implied_constraints(k) == frozenset({(0, 2), (1, 2)})
 
 
+def reference_reachability(k: PairOrderList, p: int) -> list[list[bool]]:
+    """reach[u][v]: u reaches v along the pairs and groups; Warshall's closure."""
+    reach = [[u == v for v in range(p)] for u in range(p)]
+    for a, b in k.pairs:
+        reach[a][b] = True
+    for group in k.groups:
+        for a in group:
+            for b in group:
+                reach[a][b] = True
+    for w in range(p):
+        for u in range(p):
+            if reach[u][w]:
+                reach[u] = [x or y for x, y in zip(reach[u], reach[w])]
+    return reach
+
+
+@st.composite
+def merged_relations(draw):
+    """(k, p): batches of random pairs over 0..p-1 merged by merge_orders."""
+    p = draw(st.integers(1, 9))
+    pair = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(lambda ab: ab[0] != ab[1])
+    k = PairOrderList.empty()
+    if p > 1:
+        for batch in draw(st.lists(st.lists(pair, max_size=12), max_size=4)):
+            k = merge_orders(k, batch)
+    return k, p
+
+
+@st.composite
+def hand_built_relations(draw):
+    """(k, p): an acyclic relation between consecutive runs of a permutation,
+    each run of two or more a group with its members listed in any order."""
+    p = draw(st.integers(1, 9))
+    order = draw(st.permutations(range(p)))
+    cuts = sorted(draw(st.sets(st.integers(1, p - 1), max_size=p - 1))) if p > 1 else []
+    runs = [order[a:b] for a, b in zip([0] + cuts, cuts + [p])]
+    forward = [(a, b) for i, run in enumerate(runs) for later in runs[i + 1:] for a in run for b in later]
+    pairs = draw(st.sets(st.sampled_from(forward), max_size=len(forward))) if forward else set()
+    groups = tuple(tuple(draw(st.permutations(run))) for run in runs if len(run) > 1)
+    return PairOrderList(frozenset(pairs), groups), p
+
+
 class TestBuildBlockOrder:
     def test_incomparable_nodes_sorted_by_index(self):
         k = merge_orders(PairOrderList.empty(), [(0, 1), (0, 2)])
@@ -162,6 +204,27 @@ class TestBuildBlockOrder:
         k = merge_orders(PairOrderList.empty(), [(0, 9)])
         with pytest.raises(InvalidInputError):
             build_block_order(k, 3)
+
+    def test_group_listed_out_of_order_ranks_by_smallest_member(self):
+        k = PairOrderList(frozenset(), ((3, 1),))
+        assert build_block_order(k, 4).to_lists() == [[0], [1, 3], [2]]
+
+    @given(relation=st.one_of(merged_relations(), hand_built_relations()))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_its_definition(self, relation):
+        k, p = relation
+        reach = reference_reachability(k, p)
+        blocks = build_block_order(k, p).blocks
+        classes = {frozenset(v for v in range(p) if reach[u][v] and reach[v][u]) for u in range(p)}
+        assert {frozenset(block) for block in blocks} == classes
+        for i, earlier in enumerate(blocks):
+            for later in blocks[i + 1:]:
+                assert not any(reach[v][u] for u in earlier for v in later)
+        unplaced = set(range(p))
+        for block in blocks:
+            ready = [v for v in unplaced if not any(reach[u][v] and not reach[v][u] for u in unplaced)]
+            assert min(ready) in block
+            unplaced -= set(block)
 
 
 def test_build_block_order_rejects_cyclic_relation():

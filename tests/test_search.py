@@ -252,6 +252,35 @@ def serial_scores(data, candidates, k, pool=None):
     return [independence_score(data, candidate, k) for candidate in candidates]
 
 
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started while the test runs."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+@pytest.fixture
+def worker_scored(monkeypatch):
+    """The subsets that a thread other than the main one scored."""
+    scored = []
+    score = search.independence_score
+
+    def recording(data, subset, k):
+        if threading.current_thread() is not threading.main_thread():
+            scored.append(subset)
+        return score(data, subset, k)
+
+    monkeypatch.setattr(search, "independence_score", recording)
+    return scored
+
+
 class TestConcurrentScoring:
     """Above one kernel row block a level's candidates are scored on threads."""
 
@@ -267,7 +296,8 @@ class TestConcurrentScoring:
         monkeypatch.setattr(search, "mutual_information", counting_mi)
         data = center(np.random.default_rng(n).standard_normal((3, n)))
         before = threading.active_count()
-        find_most_exogenous(data, (0, 1, 2), SearchConfig())
+        with search._worker_pool(n) as pool:
+            find_most_exogenous(data, (0, 1, 2), SearchConfig(), _pool=pool)
         assert threading.active_count() == before
         return {count - before for count in seen}
 
@@ -280,19 +310,29 @@ class TestConcurrentScoring:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert self.threads_seen(2000, monkeypatch) == {0}
 
+    def test_call_without_a_pool_starts_no_thread(self, two_cores, thread_starts, monkeypatch):
+        # only fit and fit_large open a pool; a direct call without one is serial
+        monkeypatch.setattr(search, "mutual_information", lambda x, y, k: 0.0)
+        data = center(np.random.default_rng(2000).standard_normal((3, 2000)))
+        find_most_exogenous(data, (0, 1, 2), SearchConfig())
+        assert thread_starts == []
+
     # four cores: more threads than a 2-core machine runs at once,
     # switching often, so workers and the caller race for the same futures
     @pytest.mark.parametrize("cores", [2, 4])
-    def test_trace_equals_serial_loop(self, cores, monkeypatch):
+    def test_trace_equals_serial_loop(self, cores, worker_scored, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
         data, _ = generate_dataset(GenSpec(p=4, n=600, seed=7, mode="dag"))
         trace: list[ScoreRecord] = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            best, score = find_most_exogenous(data, range(4), SearchConfig(), trace=trace, level=2)
+            with search._worker_pool(data.n_samples) as pool:
+                best, score = find_most_exogenous(data, range(4), SearchConfig(), trace=trace, level=2,
+                                                  _pool=pool)
         finally:
             sys.setswitchinterval(interval)
+        assert worker_scored
         candidates = enumerate_candidates(range(4))
         expected = [ScoreRecord(2, c, s) for c, s in zip(candidates, serial_scores(data, candidates, 30))]
         # bit for bit, and the same strict-< tie rule picks the first minimum
@@ -313,35 +353,29 @@ class TestConcurrentScoring:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("how", ["fit", "fit_large"])
-    def test_one_fit_starts_one_thread(self, how, two_cores, monkeypatch):
+    def test_one_fit_starts_one_thread(self, how, two_cores, thread_starts):
         # every level of every searched subset shares the fit's one worker
-        started = []
-        start = threading.Thread.start
-
-        def counting_start(thread):
-            started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", counting_start)
         data, _ = generate_dataset(GenSpec(p=5, n=600, seed=7, mode="dag"))
         before = threading.active_count()
         _, trace = fit(data) if how == "fit" else fit_large(data, 3, 6)
         assert threading.active_count() == before
         # several levels, each of which used to start a thread of its own
         assert len({(r.level, r.subset) for r in trace if r.level > 0}) > 1
-        assert len(started) == 1
+        assert len(thread_starts) == 1
 
-    def test_scratch_memory_is_bounded(self, two_cores):
+    def test_scratch_memory_is_bounded(self, two_cores, worker_scored):
         # one MI call here holds about 1.5 MiB of kernel scratch, and two
         # threads hold two calls' worth (3.0 MiB measured); a third concurrent
         # call or per-thread caches of both kernels' buffers would pass 4 MiB
         data, _ = generate_dataset(GenSpec(p=5, n=2000, seed=2, mode="eq4_example"))
         tracemalloc.start()
         try:
-            find_most_exogenous(data, range(5), SearchConfig())
+            with search._worker_pool(data.n_samples) as pool:
+                find_most_exogenous(data, range(5), SearchConfig(), _pool=pool)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert worker_scored
         assert peak < 3.5 * 2**20
 
 
@@ -356,7 +390,8 @@ class TestFailingCandidate:
         data = center(np.random.default_rng(9).standard_normal((4, TestFailingCandidate.N)))
         before = threading.active_count()
         try:
-            find_most_exogenous(data, range(4), SearchConfig())
+            with search._worker_pool(TestFailingCandidate.N) as pool:
+                find_most_exogenous(data, range(4), SearchConfig(), _pool=pool)
         finally:
             assert threading.active_count() == before
 
@@ -368,8 +403,8 @@ class TestFailingCandidate:
         with pytest.raises(DegenerateInputError) as serial:
             serial_scores(data, enumerate_candidates(range(4)), 30)
         before = threading.active_count()
-        with pytest.raises(DegenerateInputError) as concurrent:
-            find_most_exogenous(data, range(4), SearchConfig())
+        with pytest.raises(DegenerateInputError) as concurrent, search._worker_pool(self.N) as pool:
+            find_most_exogenous(data, range(4), SearchConfig(), _pool=pool)
         assert threading.active_count() == before
         assert str(concurrent.value) == str(serial.value)
 
