@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 usage/input error, 1 estimation failure.
 
 import argparse
 import math
+import os
 import sys
 import time
 import warnings
@@ -102,9 +103,9 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _output_path(text) -> Path:
-    """``text`` as an output file's path; an empty one, ``.`` or ``/`` names no file."""
+    """``text`` as an output file's path; ``""``, ``.``, ``/`` or ``dir/`` names no file."""
     path = Path(text)
-    if not path.name:
+    if not path.name or str(text)[-1:] in (os.sep, os.altsep):
         raise InvalidInputError(f"{str(text)!r} is not an output file name")
     return path
 

@@ -14,7 +14,7 @@ class DegenerateInputError(BlockOrderError, ValueError):
 
 
 class SingularMatrixError(BlockOrderError):
-    """A covariance block stays ill-conditioned even after regularization."""
+    """A regressor is, up to rounding, a linear function of the regressors before it."""
 
 
 class ModelInvalidError(BlockOrderError):

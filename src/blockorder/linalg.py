@@ -1,7 +1,8 @@
-"""Dense linear-algebra primitives: centering, covariance, residualization.
+"""Dense linear-algebra primitives: centering, least squares, residualization.
 
-Everything here is a pure function over immutable inputs.  Covariance uses
-the 1/n normalizer; regression coefficients are invariant to that choice.
+Everything here is a pure function over immutable inputs.  Least squares has
+one path, a Householder QR of the samples (``qr_factor``): no covariance is
+formed, no normal equations are solved, and there is no ridge.
 """
 
 from dataclasses import dataclass
@@ -11,10 +12,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, InvalidInputError, SingularMatrixError
 
-# A covariance block is solved with a diagonal ridge only when its condition
-# number exceeds this.
-COND_LIMIT = 1e12
-RIDGE_SCALE = 1e-8
 # A residual this small relative to its variable is rounding error: OLS on
 # an exactly collinear regressor set leaves about 1e-16 of the scale.
 COLLINEAR_RTOL = 1e-8
@@ -100,32 +97,38 @@ def center(raw) -> DataMatrix:
     return DataMatrix(centered, tuple(range(values.shape[0])))
 
 
-def covariance(data: DataMatrix) -> np.ndarray:
-    """(1/n) X X^T of a centered matrix, exactly symmetrized."""
-    x = data.values
-    cov = x @ x.T / x.shape[1]
-    return (cov + cov.T) / 2.0
+def qr_factor(values: np.ndarray) -> np.ndarray:
+    """Square upper-triangular R of a Householder QR of the samples, values.T = Q R.
 
-
-def _solve_spd(sigma_s: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve sigma_s @ B = rhs through one symmetric eigendecomposition.
-
-    A block with a NaN or infinite entry raises SingularMatrixError.  A block
-    whose largest eigenvalue is not at most COND_LIMIT times its smallest
-    (for a positive semidefinite block: whose condition number exceeds
-    COND_LIMIT) gets RIDGE_SCALE times its mean eigenvalue added to every
-    eigenvalue.  One whose smallest eigenvalue is still not positive, such as
-    an all-zero block, raises SingularMatrixError.
+    ``R[k:c + 1, c]`` is variable c's residual on the variables before k, in
+    Q's coordinates.  With fewer samples than variables, rows past the n-th are 0.
     """
-    m = sigma_s.shape[0]
-    if not np.all(np.isfinite(sigma_s)):
-        raise SingularMatrixError(f"covariance block of size {m} has non-finite entries")
-    lam, vec = np.linalg.eigh(sigma_s)
-    if not lam[-1] <= COND_LIMIT * lam[0]:
-        lam = lam + RIDGE_SCALE * float(np.trace(sigma_s)) / m
-    if not lam[0] > 0.0:
-        raise SingularMatrixError(f"covariance block of size {m} is singular even with a ridge")
-    return vec @ ((vec.T @ rhs) / lam[:, None])
+    p = values.shape[0]
+    r = np.zeros((p, p))
+    r[: min(values.shape)] = np.linalg.qr(values.T, mode="r")
+    return r
+
+
+def check_collinear(r: np.ndarray, ids: tuple[int, ...], m: int) -> None:
+    """Reject a variable that is, up to rounding, a linear function of its regressors.
+
+    ``r`` is ``qr_factor`` of the variables ``ids``, the first m of them the
+    regressors.  The first regressor whose pivot (residual on the regressors
+    before it) is at most ``COLLINEAR_RTOL`` of its norm raises
+    SingularMatrixError, else the responses whose residuals on all m are that
+    small raise DegenerateInputError.  Pivots are at least the smallest
+    singular value, so regressors of condition below 1 / ``COLLINEAR_RTOL`` pass.
+    """
+    own = COLLINEAR_RTOL * np.hypot.reduce(r, axis=0, initial=0.0)  # norms that cannot overflow
+    spread = np.concatenate((np.abs(np.diag(r)[:m]), np.hypot.reduce(r[m:, m:], axis=0, initial=0.0)))
+    flat = np.flatnonzero(~(spread > own))
+    if flat.size:
+        named, regressors = ([flat[0]], flat[0]) if flat[0] < m else (flat, m)
+        raise (SingularMatrixError if flat[0] < m else DegenerateInputError)(
+            f"residual standard deviation at most {COLLINEAR_RTOL:g} of the variable's own for "
+            f"variable(s) {[ids[c] for c in named]} regressed on {sorted(ids[:regressors])}: "
+            "up to rounding, a linear function of them"
+        )
 
 
 def regress_on(data: DataMatrix, subset: Iterable[int]):
@@ -133,11 +136,9 @@ def regress_on(data: DataMatrix, subset: Iterable[int]):
 
     Returns ``(coef, residuals)`` where ``coef[t, s]`` is the weight of the
     s-th subset variable in the t-th remaining variable, and ``residuals`` is
-    a DataMatrix over the remaining variables in their original order.  An
-    x_S block that ``_solve_spd`` cannot solve raises SingularMatrixError.
-    A residual whose standard deviation is at most ``COLLINEAR_RTOL`` times
-    its variable's own in ``data`` (a variable that is, up to rounding, a
-    linear function of x_S) raises DegenerateInputError naming them all.
+    a DataMatrix over the remaining variables in their original order.  One
+    ``qr_factor`` of x_S and the rest gives both; ``check_collinear`` rejects
+    a variable of either that is, up to rounding, a linear function of x_S.
     """
     s_set = {int(i) for i in subset}
     s_ids = tuple(sorted(s_set))
@@ -146,17 +147,11 @@ def regress_on(data: DataMatrix, subset: Iterable[int]):
         raise InvalidInputError("subset must be a non-empty proper subset of the variables")
     rest_pos = [r for r, v in enumerate(data.variable_ids) if v not in s_set]
     rest_ids = tuple(data.variable_ids[r] for r in rest_pos)
-    cross = covariance(data)[s_pos]
-    beta = _solve_spd(cross[:, s_pos], cross[:, rest_pos])  # (|S|, |rest|)
-    own = data.values[rest_pos]
-    resid = own - beta.T @ data.values[s_pos]
-    kept = resid.std(axis=1) > COLLINEAR_RTOL * own.std(axis=1)
-    if not kept.all():
-        raise DegenerateInputError(
-            f"residual standard deviation at most {COLLINEAR_RTOL:g} of the variable's own for "
-            f"variable(s) {[v for v, ok in zip(rest_ids, kept) if not ok]} regressed on "
-            f"{list(s_ids)}: up to rounding, a linear function of them"
-        )
+    m = len(s_ids)
+    r = qr_factor(data.values[s_pos + rest_pos])
+    check_collinear(r, s_ids + rest_ids, m)
+    beta = np.linalg.solve(r[:m, :m], r[:m, m:])  # (|S|, |rest|)
+    resid = data.values[rest_pos] - beta.T @ data.values[s_pos]
     return beta.T, _derived(resid, rest_ids)
 
 

@@ -4,15 +4,17 @@ Each variable is regressed by OLS on every variable in strictly earlier
 blocks (the ordering carries no sparsity information, so non-parents simply
 estimate near zero).  Within-block entries stay exactly zero; what the model
 cannot orient is reported instead as the covariance of each block's
-variables after the earlier blocks' effects are removed.  Both search modes
-turn their ordering into a model through ``assemble_model``.  Degenerate
-variables fail in ``regress_on`` and ``DataMatrix.restrict``.
+variables after the earlier blocks' effects are removed.  Both come from one
+``qr_factor`` of the samples in block order: with L = Rᵀ/√n, block b's
+coefficients on its predecessors P are L_bP L_PP⁻¹ and its residual covariance
+is L_bb L_bbᵀ.  Degenerate variables fail in ``DataMatrix.restrict`` and
+``check_collinear``; both search modes build their model with ``assemble_model``.
 """
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import DataMatrix, covariance, regress_on
+from .linalg import DataMatrix, check_collinear, qr_factor
 from .model import BlockOrdering, ChainGraphModel
 
 
@@ -30,20 +32,20 @@ def estimate_strengths(data: DataMatrix, ordering: BlockOrdering):
     if not ordering.is_partition_of(data.variable_ids):
         raise InvalidInputError("ordering must partition the data's variables")
 
+    order = tuple(i for block in ordering.blocks for i in block)
+    r = qr_factor(data.restrict(order).values)
+    sizes = [len(block) for block in ordering.blocks]
+    spans = [(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+    for start, end in spans:
+        check_collinear(r[:end, :end], order[:end], start)
+    # one solve on the leading triangle (all blocks but the last) turns column
+    # i of R above its diagonal block, R_Pi, into R_PP⁻¹ R_Pi followed by zeros
+    last = spans[-1][0]
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    coef = np.linalg.solve(r[:last, :last], np.where(level[:last, None] < level, r[:last], 0.0))
     b = np.zeros((p, p))
-    within: list[np.ndarray] = []
-    predecessors: list[int] = []
-    for block in ordering.blocks:
-        members = list(block)
-        if predecessors:
-            # regress_on orders its coefficient columns by sorted id
-            preds = sorted(predecessors)
-            coef, resid = regress_on(data.restrict(preds + members), preds)
-            b[np.ix_(members, preds)] = coef
-            within.append(covariance(resid))
-        else:
-            within.append(covariance(data.restrict(members)))
-        predecessors.extend(members)
+    b[np.ix_(order, order[:last])] = coef.T
+    within = [r[s:e, s:e].T @ r[s:e, s:e] / data.n_samples for s, e in spans]
     return b, within
 
 
@@ -57,5 +59,5 @@ def assemble_model(data: DataMatrix, ordering: BlockOrdering) -> ChainGraphModel
     b, within = estimate_strengths(data, ordering)
     noise_std = np.zeros(data.n_variables)
     for block, cov in zip(ordering.blocks, within):
-        noise_std[list(block)] = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        noise_std[list(block)] = np.sqrt(np.diag(cov))
     return ChainGraphModel(b, ordering, noise_std, tuple(within))

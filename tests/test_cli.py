@@ -281,6 +281,19 @@ class TestEstimationFailure:
             "function of them"]
 
 
+    def test_more_variables_than_samples_exits_one(self, tmp_path):
+        # 20 variables, 15 samples: ordinary least squares on all earlier
+        # variables runs out of samples
+        x = np.random.default_rng(1).laplace(size=(15, 20))
+        path = tmp_path / "wide.csv"
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+        code, lines = run_stderr(["fit", "--input", path, "--output", tmp_path / "m.json", "--mode", "large"])
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith(
+            "blockorder: estimation failed: residual standard deviation at most 1e-08 of the variable's own")
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestCsvReading:
     def test_headerless_csv(self, tmp_path):
         path = tmp_path / "plain.csv"
@@ -348,12 +361,19 @@ class TestCsvReading:
         ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", ""],
         ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", "."],
         ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", "/"],
+        ["fit", "--input", "{csv}", "--output", "m/"],
+        ["fit", "--input", "{csv}", "--output", "m.json", "--trace", "t/"],
+        ["simulate", "--mode", "eq4", "--n", "100", "--output", "d/", "--truth", "t.json"],
+        ["simulate", "--mode", "eq4", "--n", "100", "--output", "d.csv", "--truth", "t/"],
+        ["benchmark", "--p", "3", "--n", "100", "--trials", "1", "--report", "r/"],
     ], ids=["fit-output-empty", "fit-trace-empty", "simulate-output-empty", "simulate-truth-empty",
-            "benchmark-report-empty", "benchmark-report-dot", "benchmark-report-root"])
+            "benchmark-report-empty", "benchmark-report-dot", "benchmark-report-root",
+            "fit-output-trailing-sep", "fit-trace-trailing-sep", "simulate-output-trailing-sep",
+            "simulate-truth-trailing-sep", "benchmark-report-trailing-sep"])
     def test_output_that_names_no_file_exits_two_before_any_work(self, argv, example_csv, tmp_path,
                                                                  no_work, monkeypatch):
         # an empty path is given, not unset; "." and "/" leave no name for
-        # the report's companion scatter file
+        # the report's companion scatter file; "m/" asks for a directory
         monkeypatch.chdir(tmp_path)
         code, lines = run_stderr([arg.format(csv=example_csv) for arg in argv])
         assert code == 2

@@ -1,11 +1,13 @@
-"""Tests for centering, covariance, and residualization."""
+"""Tests for centering, least squares, and residualization."""
+
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from blockorder import DataMatrix, DegenerateInputError, InvalidInputError, SingularMatrixError, center
-from blockorder.linalg import COND_LIMIT, RIDGE_SCALE, _solve_spd, covariance, regress_on, residualize
+from blockorder.linalg import COLLINEAR_RTOL, regress_on, residualize
 
 
 def naive_covariance(x):
@@ -91,32 +93,16 @@ class TestDataMatrix:
         with pytest.raises(InvalidInputError):
             data.restrict((2, 2))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite_values(self, entry):
+        # the only way into the least-squares factor is through a DataMatrix
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            DataMatrix(np.array([[1.0, -1.0], [entry, 0.0]]), (0, 1))
+
     def test_restrict_unknown_id(self):
         data = center(np.random.default_rng(1).standard_normal((2, 10)))
         with pytest.raises(InvalidInputError):
             data.restrict((0, 7))
-
-
-class TestCovariance:
-    def test_single_variable(self):
-        data = center(np.array([[-1.0, 0.0, 1.0]]))
-        assert np.allclose(covariance(data), [[2.0 / 3.0]], atol=1e-15)
-
-    def test_identical_rows_rank_one(self):
-        row = np.array([0.5, -1.5, 1.0])
-        data = center(np.vstack([row, row]))
-        cov = covariance(data)
-        assert np.allclose(cov, cov[0, 0] * np.ones((2, 2)), atol=1e-15)
-        assert abs(np.linalg.det(cov)) < 1e-12
-
-    def test_matches_naive_summation(self):
-        data = center(np.random.default_rng(5).standard_normal((5, 1000)))
-        assert np.abs(covariance(data) - naive_covariance(data.values)).max() < 1e-10
-
-    def test_symmetric(self):
-        data = center(np.random.default_rng(6).standard_normal((6, 200)))
-        cov = covariance(data)
-        assert np.array_equal(cov, cov.T)
 
 
 class TestResidualize:
@@ -164,9 +150,11 @@ class TestResidualize:
     def test_residual_covariance_is_schur_complement(self):
         rng = np.random.default_rng(8)
         data = center(rng.standard_normal((5, 400)))
-        cov = covariance(data)
+        x = data.values
+        cov = x @ x.T / data.n_samples
         schur = cov[2:, 2:] - cov[:2, 2:].T @ np.linalg.solve(cov[:2, :2], cov[:2, 2:])
-        resid_cov = covariance(residualize(data, (0, 1)))
+        resid = residualize(data, (0, 1)).values
+        resid_cov = resid @ resid.T / data.n_samples
         assert np.abs(resid_cov - schur).max() < 1e-8
 
     @pytest.mark.parametrize("subset", [(), (0, 1, 2)])
@@ -182,19 +170,40 @@ class TestResidualize:
         with pytest.raises(SingularMatrixError):
             residualize(data, (0,))
 
-    def test_overflowing_covariance_raises_singularity(self):
+    def test_regressor_of_huge_scale_is_solved(self):
+        # the factor never squares the samples, so a scale whose covariance
+        # would overflow is solved like any other
         rows = center(np.random.default_rng(9).standard_normal((2, 20))).values
         data = DataMatrix(rows * np.array([[1e200], [1.0]]), (0, 1))
-        with np.errstate(over="ignore"), pytest.raises(SingularMatrixError):
-            residualize(data, (0,))
+        coef, resid = regress_on(data, (0,))
+        beta = scipy.linalg.lstsq(data.values[:1].T, data.values[1])[0]
+        assert abs(coef[0, 0] - beta[0]) <= 1e-12 * abs(beta[0])
+        assert np.abs(resid.values[0] - (data.values[1] - beta[0] * data.values[0])).max() < 1e-12
 
-    def test_duplicated_predictor_survives_via_ridge(self):
+    def test_duplicated_predictor_raises_singularity(self):
         base = center(np.random.default_rng(10).standard_normal((2, 100)))
         rows = np.vstack([base.values[0], base.values[0], base.values[1]])
         data = DataMatrix(rows, (0, 1, 2))
-        out = residualize(data, (0, 1))
-        cross = data.restrict((0,)).values @ out.values.T / data.n_samples
-        assert np.abs(cross).max() < 1e-6
+        with pytest.raises(SingularMatrixError, match=r"^residual standard deviation at most 1e-08 of the "
+                           r"variable's own for variable\(s\) \[1\] regressed on \[0\]: up to rounding, "
+                           r"a linear function of them$"):
+            residualize(data, (0, 1))
+
+    def test_zero_variance_regressor_is_named(self):
+        rng = np.random.default_rng(11)
+        rows = center(rng.standard_normal((4, 30))).values
+        rows[2] = 0.0
+        data = DataMatrix(rows, (0, 1, 2, 3))
+        with pytest.raises(SingularMatrixError, match=r"variable\(s\) \[2\] regressed on \[0, 1\]"):
+            regress_on(data, (0, 1, 2))
+
+    def test_more_regressors_than_samples_is_singular(self):
+        # centered samples span n - 1 dimensions, so the n-th regressor is a
+        # linear function of those before it
+        data = center(np.random.default_rng(12).standard_normal((7, 5)))
+        named = re.escape("variable(s) [4] regressed on [0, 1, 2, 3]:")
+        with pytest.raises(SingularMatrixError, match=named):
+            regress_on(data, range(6))
 
 
 class TestRegressOn:
@@ -208,95 +217,73 @@ class TestRegressOn:
         assert resid.variable_ids == (1,)
 
 
-class TestSolveSpd:
-    """The eigendecomposition solve against scipy's Cholesky, on covariance blocks of random data."""
+class TestLeastSquares:
+    """regress_on's fitted values and residuals against scipy's SVD-based lstsq."""
 
     @staticmethod
     def blocks(m, duplicate, seed):
-        """(sigma_s, rhs, x_s): m predictors, 3 responses that depend on them, n=400."""
+        """m predictors, then 3 responses that depend on them, n=400."""
         rng = np.random.default_rng(seed)
         raw = rng.standard_normal((m + 3, 400))
         raw[m:] += rng.standard_normal((3, m)) @ raw[:m]
-        if duplicate:  # a scaled copy of another predictor makes the block singular
+        if duplicate:  # a scaled copy of another predictor makes x_S singular
             raw[m - 1] = rng.uniform(0.5, 2.0) * raw[rng.integers(m - 1)]
-        data = center(raw)
-        cov = covariance(data)
-        return cov[:m, :m], cov[:m, m:], data.values[:m]
-
-    @pytest.mark.parametrize("m", [*range(1, 16), 99])
-    def test_well_conditioned_matches_cho_solve(self, m):
-        for seed in range(5):
-            sigma_s, rhs, _ = self.blocks(m, False, seed)
-            assert np.linalg.cond(sigma_s) <= COND_LIMIT
-            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sigma_s, lower=True), rhs)
-            got = _solve_spd(sigma_s, rhs)
-            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
-
-    @pytest.mark.parametrize("m", [*range(2, 16), 99])
-    def test_ridged_fit_matches_cho_solve(self, m):
-        # A ridged block's condition number is about m / RIDGE_SCALE, so the
-        # coefficient split between the two copies is only determined to about
-        # 1e-8; the fitted values beta^T x_S, from which residuals are formed,
-        # are determined to rounding.
-        for seed in range(5):
-            sigma_s, rhs, x_s = self.blocks(m, True, seed)
-            assert not np.linalg.cond(sigma_s) <= COND_LIMIT
-            ridged = sigma_s + RIDGE_SCALE * np.trace(sigma_s) / m * np.eye(m)
-            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(ridged, lower=True), rhs).T @ x_s
-            got = _solve_spd(sigma_s, rhs).T @ x_s
-            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        return center(raw)
 
     @staticmethod
-    def spectral_blocks(rng, eigenvalues):
-        """(sigma_s, rhs, x_s) as in ``blocks``, for predictors whose covariance
-        has the given eigenvalues in a random orthogonal basis."""
-        m, n = len(eigenvalues), 400
+    def spectral_blocks(rng, singular_values):
+        """As ``blocks``, for predictors whose sample matrix has the given
+        singular values (times sqrt(n)) in random orthogonal bases."""
+        m, n = len(singular_values), 400
         basis = np.linalg.qr(rng.standard_normal((m, m)))[0]
         scores = np.linalg.qr(rng.standard_normal((n, m)))[0].T * np.sqrt(n)
-        x = (basis * np.sqrt(eigenvalues)) @ scores
+        x = (basis * singular_values) @ scores
         y = rng.standard_normal((3, m)) @ x + 0.3 * rng.standard_normal((3, n))
-        data = center(np.vstack([x, y]))
-        cov = covariance(data)
-        return cov[:m, :m], cov[:m, m:], data.values[:m]
+        return center(np.vstack([x, y]))
 
     @staticmethod
-    def references(sigma_s, rhs, x_s):
-        """Fitted values of the unridged and of the ridged Cholesky solve."""
-        m = len(sigma_s)
-        ridged = sigma_s + RIDGE_SCALE * np.trace(sigma_s) / m * np.eye(m)
-        return [scipy.linalg.cho_solve(scipy.linalg.cho_factor(s, lower=True), rhs).T @ x_s
-                for s in (sigma_s, ridged)]
+    def max_error(data, m):
+        """Largest difference in fitted values or residuals between regress_on
+        on the first m variables and lstsq, relative to the responses' scale."""
+        x_s, y = data.values[:m], data.values[m:]
+        coef, resid = regress_on(data, range(m))
+        fitted = scipy.linalg.lstsq(x_s.T, y.T)[0].T @ x_s
+        errors = (np.abs(coef @ x_s - fitted).max(), np.abs(resid.values - (y - fitted)).max())
+        return max(errors) / np.abs(y).max()
+
+    @pytest.mark.parametrize("m", [*range(1, 16), 99])
+    def test_well_conditioned_matches_lstsq(self, m):
+        for seed in range(5):
+            assert self.max_error(self.blocks(m, False, seed), m) <= 1e-12
 
     @pytest.mark.parametrize("m", range(2, 16))
-    @pytest.mark.parametrize("cond,ridged", [(1e11, False), (1e13, True)])
-    def test_fit_either_side_of_the_limit(self, m, cond, ridged):
-        # At condition number 1e11 the normal equations fix the fitted values
-        # only to about cond * eps (2e-5); the two solves agree to 6e-7 here,
-        # and ridging or not moves the fitted values by more than 3e-3.
+    @pytest.mark.parametrize("cond", [1e5, 1e7])
+    def test_ill_conditioned_matches_lstsq(self, m, cond):
+        # Both solves are backward stable, so they agree to about cond * eps;
+        # observed: at most 0.04 of it.
         rng = np.random.default_rng(m)
         for _ in range(5):
-            sigma_s, rhs, x_s = self.spectral_blocks(rng, np.logspace(0, -np.log10(cond), m))
-            assert (np.linalg.cond(sigma_s) <= COND_LIMIT) != ridged
-            expected = self.references(sigma_s, rhs, x_s)[ridged]
-            got = _solve_spd(sigma_s, rhs).T @ x_s
-            assert np.abs(got - expected).max() <= 1e-5 * np.abs(expected).max()
+            data = self.spectral_blocks(rng, np.logspace(0, -np.log10(cond), m))
+            assert np.linalg.cond(data.values[:m]) < 1.01 * cond
+            assert self.max_error(data, m) <= cond * np.finfo(float).eps
 
-    def test_ridges_exactly_the_blocks_cond_would(self):
-        # Each fit lies far closer to one reference than to the other, so the
-        # nearer one tells which branch the solve took.
+    @pytest.mark.parametrize("m", [*range(2, 16), 99])
+    def test_duplicated_regressor_raises(self, m):
+        for seed in range(5):
+            data = self.blocks(m, True, seed)
+            named = re.escape(f"variable(s) [{m - 1}] regressed on {list(range(m - 1))}:")
+            with pytest.raises(SingularMatrixError, match=named):
+                regress_on(data, range(m))
+
+    def test_never_rejects_below_the_inverse_tolerance(self):
+        # A regressor's pivot is at least the smallest singular value of x_S,
+        # and its own spread at most the largest, so a regressor set whose
+        # condition number is below 1 / COLLINEAR_RTOL always passes.
         rng = np.random.default_rng(0)
         for _ in range(300):
-            m, log_cond = int(rng.integers(2, 16)), rng.uniform(9, 15)
+            m = int(rng.integers(2, 16))
+            log_cond = rng.uniform(0, -np.log10(COLLINEAR_RTOL) - 0.2)
             inner = 10.0 ** -rng.uniform(0, log_cond, m - 2)
-            eigenvalues = np.concatenate(([1.0, 10.0 ** -log_cond], inner))
-            sigma_s, rhs, x_s = self.spectral_blocks(rng, eigenvalues)
-            got = _solve_spd(sigma_s, rhs).T @ x_s
-            unridged, ridged = (np.abs(got - ref).max() for ref in self.references(sigma_s, rhs, x_s))
-            assert (ridged < unridged) == (not np.linalg.cond(sigma_s) <= COND_LIMIT)
-
-    @pytest.mark.parametrize("entry", [0.0, np.nan])
-    def test_zero_or_nan_block_raises(self, entry):
-        sigma_s = np.zeros((3, 3))
-        sigma_s[1, 1] = entry
-        with pytest.raises(SingularMatrixError):
-            _solve_spd(sigma_s, np.ones((3, 2)))
+            data = self.spectral_blocks(rng, np.concatenate(([1.0, 10.0 ** -log_cond], inner)))
+            assert np.linalg.cond(data.values[:m]) < 1 / COLLINEAR_RTOL
+            assert self.max_error(data, m) <= 1e-8

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from blockorder import BlockOrdering, GenSpec, InvalidInputError, generate_dataset
+from blockorder import (
+    BlockOrdering, DataMatrix, DegenerateInputError, GenSpec, InvalidInputError, SingularMatrixError,
+    center, generate_dataset,
+)
 from blockorder.model import check_block_lower_triangular
 from blockorder.strengths import estimate_strengths
 
@@ -68,3 +72,82 @@ class TestEstimateStrengths:
         for block, cov in zip(truth.ordering.blocks, within):
             assert cov.shape == (len(block), len(block))
             assert np.all(np.diag(cov) >= 0.0)
+
+
+class TestAgainstLstsq:
+    @staticmethod
+    def per_block_lstsq(data, ordering):
+        """(b, within) from one scipy lstsq per block on its predecessors."""
+        x, n = data.values, data.n_samples
+        b = np.zeros((data.n_variables, data.n_variables))
+        within, preds = [], []
+        for block in ordering.blocks:
+            resid = x[list(block)]
+            if preds:
+                beta = scipy.linalg.lstsq(x[preds].T, resid.T)[0]
+                b[np.ix_(block, preds)] = beta.T
+                resid = resid - beta.T @ x[preds]
+            within.append(resid @ resid.T / n)
+            preds += block
+        return b, within
+
+    def test_matches_per_block_lstsq_on_random_orderings(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            p = int(rng.integers(1, 13))
+            n = int(rng.integers(p + 2, 200))
+            mixing = np.tril(rng.uniform(-1.5, 1.5, (p, p)), -1) + np.eye(p)
+            data = center(mixing @ rng.laplace(size=(p, n)) * rng.uniform(0.1, 10.0, (p, 1)))
+            order = rng.permutation(p)
+            cuts = np.flatnonzero(rng.random(p - 1) < 0.5) + 1
+            ordering = BlockOrdering(tuple(tuple(int(i) for i in part) for part in np.split(order, cuts)))
+            b, within = estimate_strengths(data, ordering)
+            ref_b, ref_within = self.per_block_lstsq(data, ordering)
+            scale = np.abs(ref_b).max() + 1.0
+            assert np.abs(b - ref_b).max() <= 1e-10 * scale
+            for got, ref in zip(within, ref_within):
+                assert np.array_equal(got, got.T)
+                assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+class TestDegenerateInputs:
+    """Each ends in one BlockOrderError naming the variable and its regressors."""
+
+    MESSAGE = ("residual standard deviation at most 1e-08 of the variable's own for variable(s) {} "
+               "regressed on {}: up to rounding, a linear function of them")
+
+    @staticmethod
+    def duplicated(p=4, n=50):
+        values = center(np.random.default_rng(1).standard_normal((p, n))).values
+        values[1] = -2.0 * values[0]
+        return DataMatrix(values, tuple(range(p)))
+
+    def test_duplicated_pair_in_a_block_with_later_blocks_is_singular(self):
+        ordering = BlockOrdering(((2,), (0, 1), (3,)))
+        with pytest.raises(SingularMatrixError) as error:
+            estimate_strengths(self.duplicated(), ordering)
+        assert str(error.value) == self.MESSAGE.format([1], [0, 2])
+
+    def test_duplicated_pair_in_the_last_block_fits(self):
+        # nothing is regressed on the pair, so only its within-block
+        # covariance, of rank one, shows the duplicate
+        b, within = estimate_strengths(self.duplicated(), BlockOrdering(((2,), (3,), (0, 1))))
+        assert np.all(np.isfinite(b))
+        assert abs(np.linalg.det(within[2])) <= 1e-12 * np.abs(within[2]).max() ** 2
+
+    def test_variable_collinear_with_its_predecessors_is_degenerate(self):
+        with pytest.raises(DegenerateInputError) as error:
+            estimate_strengths(self.duplicated(), BlockOrdering(((0, 2), (1, 3))))
+        assert str(error.value) == self.MESSAGE.format([1], [0, 2])
+
+    @pytest.mark.parametrize("blocks,error,named", [
+        (((0,), (1,), (2,), (3,), (4,), (5,)), DegenerateInputError, ([4], [0, 1, 2, 3])),
+        (((0, 1, 2), (3, 4), (5,)), SingularMatrixError, ([4], [0, 1, 2, 3])),
+    ], ids=["singletons", "rank-spent-inside-a-block"])
+    def test_more_variables_than_samples(self, blocks, error, named):
+        # centered samples span n - 1 dimensions, so the n-th variable in
+        # block order is a linear function of those before it
+        data = center(np.random.default_rng(2).standard_normal((6, 5)))
+        with pytest.raises(error) as raised:
+            estimate_strengths(data, BlockOrdering(blocks))
+        assert str(raised.value) == self.MESSAGE.format(*named)
