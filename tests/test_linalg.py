@@ -1,4 +1,4 @@
-"""Tests for centering, least squares, and residualization."""
+"""Tests for centering, the QR factor, least squares, and residualization."""
 
 import re
 
@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from blockorder import DataMatrix, DegenerateInputError, InvalidInputError, SingularMatrixError, center
-from blockorder.linalg import COLLINEAR_RTOL, regress_on, residualize
+from blockorder.linalg import COLLINEAR_RTOL, qr_factor, regress_on, residualize
 
 
 def naive_covariance(x):
@@ -105,6 +105,35 @@ class TestDataMatrix:
             data.restrict((0, 7))
 
 
+class TestCovariance:
+    """R^T R / n of ``qr_factor``, the covariance estimate_strengths reports for each block."""
+
+    @staticmethod
+    def covariance(data):
+        r = qr_factor(data.values)
+        return r.T @ r / data.n_samples
+
+    def test_single_variable(self):
+        data = center(np.array([[-1.0, 0.0, 1.0]]))
+        assert np.allclose(self.covariance(data), [[2.0 / 3.0]], atol=1e-15)
+
+    def test_identical_rows_rank_one(self):
+        row = np.array([0.5, -1.5, 1.0])
+        data = center(np.vstack([row, row]))
+        cov = self.covariance(data)
+        assert np.allclose(cov, cov[0, 0] * np.ones((2, 2)), atol=1e-15)
+        assert abs(np.linalg.det(cov)) < 1e-12
+
+    def test_matches_naive_summation(self):
+        data = center(np.random.default_rng(5).standard_normal((5, 1000)))
+        assert np.abs(self.covariance(data) - naive_covariance(data.values)).max() < 1e-10
+
+    def test_symmetric(self):
+        data = center(np.random.default_rng(6).standard_normal((6, 200)))
+        cov = self.covariance(data)
+        assert np.array_equal(cov, cov.T)
+
+
 class TestResidualize:
     def test_zero_cross_covariance_leaves_data_unchanged(self):
         # exactly orthogonal integer patterns, already zero-mean
@@ -188,14 +217,6 @@ class TestResidualize:
                            r"variable's own for variable\(s\) \[1\] regressed on \[0\]: up to rounding, "
                            r"a linear function of them$"):
             residualize(data, (0, 1))
-
-    def test_zero_variance_regressor_is_named(self):
-        rng = np.random.default_rng(11)
-        rows = center(rng.standard_normal((4, 30))).values
-        rows[2] = 0.0
-        data = DataMatrix(rows, (0, 1, 2, 3))
-        with pytest.raises(SingularMatrixError, match=r"variable\(s\) \[2\] regressed on \[0, 1\]"):
-            regress_on(data, (0, 1, 2))
 
     def test_more_regressors_than_samples_is_singular(self):
         # centered samples span n - 1 dimensions, so the n-th regressor is a
@@ -287,3 +308,32 @@ class TestLeastSquares:
             data = self.spectral_blocks(rng, np.concatenate(([1.0, 10.0 ** -log_cond], inner)))
             assert np.linalg.cond(data.values[:m]) < 1 / COLLINEAR_RTOL
             assert self.max_error(data, m) <= 1e-8
+
+
+class TestSolveSpd:
+    """regress_on's coefficients solve the SPD normal equations sigma_S beta = sigma_SR;
+    checked against scipy's Cholesky solve of them."""
+
+    @pytest.mark.parametrize("m", [*range(1, 16), 99])
+    def test_well_conditioned_matches_cho_solve(self, m):
+        for seed in range(5):
+            data = TestLeastSquares.blocks(m, False, seed)
+            x = data.values
+            cov = x @ x.T / data.n_samples
+            sigma_s, rhs = cov[:m, :m], cov[:m, m:]
+            assert np.linalg.cond(sigma_s) < 10
+            expected = scipy.linalg.cho_solve(scipy.linalg.cho_factor(sigma_s, lower=True), rhs)
+            got = regress_on(data, range(m))[0].T
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("entry", [0.0, np.nan])
+    def test_zero_or_nan_block_raises(self, entry):
+        # a regressor that is zero throughout is named with those before it;
+        # a NaN one never reaches the factor, since a DataMatrix holds only
+        # finite values
+        rows = center(np.random.default_rng(11).standard_normal((4, 30))).values
+        rows[2] = entry
+        error, message = ((SingularMatrixError, re.escape("variable(s) [2] regressed on [0, 1]:"))
+                          if entry == 0.0 else (InvalidInputError, "must be finite"))
+        with pytest.raises(error, match=message):
+            regress_on(DataMatrix(rows, (0, 1, 2, 3)), (0, 1, 2))
