@@ -55,8 +55,9 @@ def _delta_repr(delta: float):
 def read_csv_matrix(path) -> DataMatrix:
     """Load a samples-by-variables CSV (header auto-detected) and center it.
 
-    Every value must be finite and small enough in magnitude that the
-    covariance of the centered columns cannot overflow.
+    Every value must be finite and small enough in magnitude that the sum of
+    a centered column's n squares cannot overflow, as the MI scaling
+    (``joint.std``) and the order step (``(z * z).mean``, ``x @ top``) take it.
     """
     path = Path(path)
     # utf-8-sig drops the byte-order mark that spreadsheet exports start with
@@ -84,7 +85,7 @@ def read_csv_matrix(path) -> DataMatrix:
     if too_large.size:
         raise InvalidInputError(
             f"{path}: variable(s) {too_large.tolist()} need finite values below {limit:.3g} "
-            "in magnitude (found NaN, inf, or a scale that overflows the covariance)"
+            "in magnitude (found NaN, inf, or a scale whose sum of squares overflows)"
         )
     constant = np.flatnonzero((table == table[0]).all(axis=0))
     if constant.size:

@@ -462,7 +462,7 @@ def fit_large(data: DataMatrix, h: int, n_subsets: int, cfg: SearchConfig | None
             else:
                 constraints = {pair for pair in permutations(subset, 2) if pair in closure}
                 constraints |= set(combinations(sorted(subset, key=rank.__getitem__), 2))
-                ordering = group_search(data.restrict(subset), subset, cfg, constraints, trace, _pool=pool)
+                ordering = group_search(data, subset, cfg, constraints, trace, _pool=pool)
             accumulated = merge_orders(accumulated, extract_pairs(ordering))
             runs.append(ordering)
     return assemble_model(data, _order_cut(order, rank, runs)), trace

@@ -21,10 +21,5 @@ def scatter_pairs(true_model: ChainGraphModel, estimated_model: ChainGraphModel)
     """(true, estimated) strength for every ordered pair (i, j), i != j."""
     if true_model.n_variables != estimated_model.n_variables:
         raise InvalidInputError("models must have the same number of variables")
-    p = true_model.n_variables
-    return [
-        (float(true_model.b[i, j]), float(estimated_model.b[i, j]))
-        for i in range(p)
-        for j in range(p)
-        if i != j
-    ]
+    off = ~np.eye(true_model.n_variables, dtype=bool)  # row-major (i, j) order
+    return list(zip(true_model.b[off].tolist(), estimated_model.b[off].tolist()))

@@ -113,8 +113,9 @@ def check_collinear(r: np.ndarray, ids: tuple[int, ...], m: int) -> None:
     """Reject a variable that is, up to rounding, a linear function of its regressors.
 
     ``r`` is ``qr_factor`` of the variables ``ids``, the first m of them the
-    regressors.  The first regressor whose pivot (residual on the regressors
-    before it) is at most ``COLLINEAR_RTOL`` of its norm raises
+    regressors (x_S in ``regress_on``, all blocks but the last in
+    ``estimate_strengths``).  The first regressor whose pivot (residual on the
+    regressors before it) is at most ``COLLINEAR_RTOL`` of its norm raises
     SingularMatrixError, else the responses whose residuals on all m are that
     small raise DegenerateInputError.  Pivots are at least the smallest
     singular value, so regressors of condition below 1 / ``COLLINEAR_RTOL`` pass.

@@ -145,17 +145,12 @@ def simulate(model: ChainGraphModel, e) -> DataMatrix:
 
 def model_to_dict(model: ChainGraphModel, params: dict | None = None) -> dict:
     """JSON-ready representation shared by truth files and fitted output."""
-    within = []
-    if model.within_block_cov is not None:
-        within = [
-            {"block": idx, "cov": [[float(v) for v in row] for row in cov]}
-            for idx, cov in enumerate(model.within_block_cov)
-        ]
+    within = model.within_block_cov or ()
     return {
         "blocks": model.ordering.to_lists(),
-        "b": [[float(v) for v in row] for row in model.b],
-        "noise_std": [float(v) for v in model.noise_std],
-        "within_block_cov": within,
+        "b": model.b.tolist(),
+        "noise_std": model.noise_std.tolist(),
+        "within_block_cov": [{"block": idx, "cov": cov.tolist()} for idx, cov in enumerate(within)],
         "params": dict(params or {}),
     }
 

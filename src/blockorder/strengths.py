@@ -7,8 +7,9 @@ cannot orient is reported instead as the covariance of each block's
 variables after the earlier blocks' effects are removed.  Both come from one
 ``qr_factor`` of the samples in block order: with L = Rᵀ/√n, block b's
 coefficients on its predecessors P are L_bP L_PP⁻¹ and its residual covariance
-is L_bb L_bbᵀ.  Degenerate variables fail in ``DataMatrix.restrict`` and
-``check_collinear``; both search modes build their model with ``assemble_model``.
+is L_bb L_bbᵀ.  One ``check_collinear`` call rejects a variable that is a
+linear function of the blocks before it (SingularMatrixError before the last
+block, DegenerateInputError in it); both search modes use ``assemble_model``.
 """
 
 import numpy as np
@@ -36,11 +37,12 @@ def estimate_strengths(data: DataMatrix, ordering: BlockOrdering):
     r = qr_factor(data.restrict(order).values)
     sizes = [len(block) for block in ordering.blocks]
     spans = [(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
-    for start, end in spans:
-        check_collinear(r[:end, :end], order[:end], start)
+    # blocks before the last are regressors (a pivot is never larger than the
+    # residual on the earlier blocks), the last block's variables responses
+    last = spans[-1][0]
+    check_collinear(r, order, last)
     # one solve on the leading triangle (all blocks but the last) turns column
     # i of R above its diagonal block, R_Pi, into R_PP⁻¹ R_Pi followed by zeros
-    last = spans[-1][0]
     level = np.repeat(np.arange(len(sizes)), sizes)
     coef = np.linalg.solve(r[:last, :last], np.where(level[:last, None] < level, r[:last], 0.0))
     b = np.zeros((p, p))

@@ -4,13 +4,18 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import blockorder
 from blockorder import DegenerateInputError
 from blockorder.cli import main, read_csv_matrix
 
@@ -527,3 +532,25 @@ class TestCliContract:
             assert lines == []
         else:
             assert len(lines) == 1 and lines[0].startswith("blockorder: "), lines
+
+
+def test_numpy_is_the_only_runtime_dependency(tmp_path):
+    # an import of scipy, hypothesis or pytest raises ImportError in the child
+    code = f"""
+import sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None
+from blockorder.cli import main
+d = {str(tmp_path)!r}
+print(main(["simulate", "--mode", "chain", "--p", "8", "--n", "300", "--output", f"{{d}}/x.csv",
+            "--truth", f"{{d}}/truth.json"]))
+print(main(["fit", "--input", f"{{d}}/x.csv", "--output", f"{{d}}/exact.json"]))
+print(main(["fit", "--input", f"{{d}}/x.csv", "--output", f"{{d}}/large.json",
+            "--mode", "large", "--h", "4", "--subsets", "10"]))
+"""
+    env = dict(os.environ)
+    package_root = str(Path(blockorder.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "0", "0"], proc.stderr

@@ -205,6 +205,17 @@ class TestFit:
         with pytest.raises(DegenerateInputError):
             fit(DataMatrix(np.zeros((1, 10)), (0,)))
 
+    @pytest.mark.parametrize("row", [0, 2])
+    @pytest.mark.parametrize("mode", ["exact", "large"])
+    def test_zero_row_is_named_as_zero_variance(self, mode, row):
+        # every search restricts to its working set first, so both modes
+        # report the row as DataMatrix.restrict does, not as collinear
+        values = center(np.random.default_rng(7).laplace(size=(5, 200))).values
+        values[row] = 0.0
+        data = DataMatrix(values, range(5))
+        with pytest.raises(DegenerateInputError, match=rf"^variable\(s\) \[{row}\] have zero variance$"):
+            fit(data) if mode == "exact" else fit_large(data, 3, 20)
+
     def test_refuses_too_many_variables(self):
         data = center(np.random.default_rng(2).standard_normal((16, 60)))
         with pytest.raises(SearchTooLargeError):

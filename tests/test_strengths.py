@@ -1,13 +1,18 @@
 """Tests for OLS strength estimation under a given block ordering."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockorder import (
     BlockOrdering, DataMatrix, DegenerateInputError, GenSpec, InvalidInputError, SingularMatrixError,
     center, generate_dataset,
 )
+from blockorder.linalg import check_collinear, qr_factor
 from blockorder.model import check_block_lower_triangular
 from blockorder.strengths import estimate_strengths
 
@@ -141,7 +146,7 @@ class TestDegenerateInputs:
         assert str(error.value) == self.MESSAGE.format([1], [0, 2])
 
     @pytest.mark.parametrize("blocks,error,named", [
-        (((0,), (1,), (2,), (3,), (4,), (5,)), DegenerateInputError, ([4], [0, 1, 2, 3])),
+        (((0,), (1,), (2,), (3,), (4,), (5,)), SingularMatrixError, ([4], [0, 1, 2, 3])),
         (((0, 1, 2), (3, 4), (5,)), SingularMatrixError, ([4], [0, 1, 2, 3])),
     ], ids=["singletons", "rank-spent-inside-a-block"])
     def test_more_variables_than_samples(self, blocks, error, named):
@@ -151,3 +156,62 @@ class TestDegenerateInputs:
         with pytest.raises(error) as raised:
             estimate_strengths(data, BlockOrdering(blocks))
         assert str(raised.value) == self.MESSAGE.format(*named)
+
+
+class TestOneCollinearityCheck:
+    """``estimate_strengths``' one check against one check per block."""
+
+    @staticmethod
+    def per_block_check(data, ordering):
+        """Each block's variables as responses of the blocks before it, in turn."""
+        order = tuple(i for block in ordering.blocks for i in block)
+        r = qr_factor(data.restrict(order).values)
+        end = 0
+        for block in ordering.blocks:
+            start, end = end, end + len(block)
+            check_collinear(r[:end, :end], order[:end], start)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 9),
+        wide=st.booleans(),
+        duplicates=st.integers(0, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_when_the_per_block_loop_does(self, seed, p, wide, duplicates):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, p + 1)) if wide else int(rng.integers(p + 2, 40))
+        values = center(rng.laplace(size=(p, n))).values
+        for _ in range(duplicates):
+            source, copy = rng.choice(p, size=2, replace=False)
+            values[copy] = rng.choice([-2.0, 0.5, 3.0]) * values[source]
+        data = DataMatrix(values, range(p))
+        cuts = np.flatnonzero(rng.random(p - 1) < 0.5) + 1
+        parts = np.split(rng.permutation(p), cuts)
+        ordering = BlockOrdering(tuple(tuple(int(i) for i in part) for part in parts))
+
+        try:
+            self.per_block_check(data, ordering)
+            expected = None
+        except (DegenerateInputError, SingularMatrixError) as error:
+            expected = error
+        try:
+            estimate_strengths(data, ordering)
+            raised = None
+        except (DegenerateInputError, SingularMatrixError) as error:
+            raised = error
+        assert (raised is None) == (expected is None)
+        if raised is None:
+            return
+        last = set(ordering.blocks[-1])
+        assert {v in last for v in self.named(raised)} == {isinstance(raised, DegenerateInputError)}
+        # the loop names a variable before the last block as a response only
+        # when it is a linear function of the blocks before its own; the one
+        # check names it as a regressor, else it raises what the loop raised
+        if isinstance(expected, SingularMatrixError) or set(self.named(expected)) <= last:
+            assert (type(raised), str(raised)) == (type(expected), str(expected))
+
+    @staticmethod
+    def named(error):
+        found = re.search(r"variable\(s\) \[([\d, ]+)\] regressed on", str(error)).group(1)
+        return [int(v) for v in found.split(", ")]
