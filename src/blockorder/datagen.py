@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import DataMatrix
-from .model import BlockOrdering, ChainGraphModel, simulate
+from .model import BlockOrdering, ChainGraphModel, mixing_from_adjacency, simulate
 
 MODES = ("chain_graph", "dag", "eq4_example")
 
@@ -92,7 +92,7 @@ def _implied_within_cov(b: np.ndarray, blocks, noise_covs) -> tuple[np.ndarray, 
     for block, cov_e in zip(blocks, noise_covs):
         members = list(block)
         inner = b[np.ix_(members, members)]
-        mix = np.linalg.solve(np.eye(len(members)) - inner, np.eye(len(members)))
+        mix = mixing_from_adjacency(inner)
         out.append(mix @ cov_e @ mix.T)
     return tuple(out)
 

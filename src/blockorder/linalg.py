@@ -119,8 +119,14 @@ def check_collinear(r: np.ndarray, ids: tuple[int, ...], m: int) -> None:
     SingularMatrixError, else the responses whose residuals on all m are that
     small raise DegenerateInputError.  Pivots are at least the smallest
     singular value, so regressors of condition below 1 / ``COLLINEAR_RTOL`` pass.
+    Before either, a variable that is zero throughout (a zero column of ``r``)
+    raises DegenerateInputError as in ``DataMatrix.restrict``.
     """
-    own = COLLINEAR_RTOL * np.hypot.reduce(r, axis=0, initial=0.0)  # norms that cannot overflow
+    norm = np.hypot.reduce(r, axis=0, initial=0.0)  # norms that cannot overflow
+    zero = [ids[c] for c in np.flatnonzero(norm == 0.0)]
+    if zero:
+        raise DegenerateInputError(f"variable(s) {zero} have zero variance")
+    own = COLLINEAR_RTOL * norm
     spread = np.concatenate((np.abs(np.diag(r)[:m]), np.hypot.reduce(r[m:, m:], axis=0, initial=0.0)))
     flat = np.flatnonzero(~(spread > own))
     if flat.size:

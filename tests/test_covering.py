@@ -22,7 +22,6 @@ from blockorder import (
 )
 from blockorder import covering
 from blockorder.covering import (
-    PairOrderList,
     _order_cut,
     build_block_order,
     extract_pairs,
@@ -79,27 +78,14 @@ class TestRandomCovering:
 
 class TestMergeOrders:
     def test_plain_union_without_conflict(self):
-        k = merge_orders(PairOrderList.empty(), [(0, 1)])
-        assert k.pairs == frozenset({(0, 1)}) and k.groups == ()
+        k = merge_orders(frozenset(), [(0, 1)])
+        assert k == frozenset({(0, 1)})
         k = merge_orders(k, [(1, 2)])
-        assert k.pairs == frozenset({(0, 1), (1, 2)}) and k.groups == ()
-
-    def test_three_cycle_collapses_to_group(self):
-        k = merge_orders(PairOrderList.empty(), [(1, 2), (2, 3)])
-        k = merge_orders(k, [(3, 1)])
-        assert k.groups == ((1, 2, 3),)
-        assert k.pairs == frozenset()
-
-    def test_group_absorbs_later_internal_pairs(self):
-        k = merge_orders(PairOrderList.empty(), [(0, 1), (1, 0)])
-        assert k.groups == ((0, 1),)
-        k = merge_orders(k, [(0, 1), (2, 0)])
-        assert k.groups == ((0, 1),)
-        assert k.pairs == frozenset({(2, 0)})
+        assert k == frozenset({(0, 1), (1, 2)})
 
     def test_rejects_self_pair(self):
         with pytest.raises(InvalidInputError):
-            merge_orders(PairOrderList.empty(), [(3, 3)])
+            merge_orders(frozenset(), [(3, 3)])
 
     @given(
         pairs=st.lists(
@@ -111,15 +97,14 @@ class TestMergeOrders:
     @settings(max_examples=80, deadline=None)
     def test_batch_order_does_not_matter(self, pairs, shuffle_seed):
         batches = [pairs[i : i + 5] for i in range(0, len(pairs), 5)]
-        baseline = PairOrderList.empty()
+        baseline = frozenset()
         for batch in batches:
             baseline = merge_orders(baseline, batch)
         random.Random(shuffle_seed).shuffle(batches)
-        shuffled = PairOrderList.empty()
+        shuffled = frozenset()
         for batch in batches:
             shuffled = merge_orders(shuffled, batch)
-        assert shuffled.pairs == baseline.pairs
-        assert shuffled.groups == baseline.groups
+        assert shuffled == baseline == frozenset(pairs)
 
 
 class TestExtractPairs:
@@ -137,24 +122,15 @@ class TestExtractPairs:
 
 class TestImpliedConstraints:
     def test_closure_of_a_chain(self):
-        k = merge_orders(PairOrderList.empty(), [(0, 1), (1, 2)])
+        k = merge_orders(frozenset(), [(0, 1), (1, 2)])
         assert implied_constraints(k) == frozenset({(0, 1), (1, 2), (0, 2)})
 
-    def test_groups_expand_to_members(self):
-        k = merge_orders(PairOrderList.empty(), [(0, 1), (1, 0), (1, 2)])
-        assert k.groups == ((0, 1),)
-        assert implied_constraints(k) == frozenset({(0, 2), (1, 2)})
 
-
-def reference_reachability(k: PairOrderList, p: int) -> list[list[bool]]:
-    """reach[u][v]: u reaches v along the pairs and groups; Warshall's closure."""
+def reference_reachability(pairs, p: int) -> list[list[bool]]:
+    """reach[u][v]: u reaches v along the pairs; Warshall's closure."""
     reach = [[u == v for v in range(p)] for u in range(p)]
-    for a, b in k.pairs:
+    for a, b in pairs:
         reach[a][b] = True
-    for group in k.groups:
-        for a in group:
-            for b in group:
-                reach[a][b] = True
     for w in range(p):
         for u in range(p):
             if reach[u][w]:
@@ -164,10 +140,10 @@ def reference_reachability(k: PairOrderList, p: int) -> list[list[bool]]:
 
 @st.composite
 def merged_relations(draw):
-    """(k, p): batches of random pairs over 0..p-1 merged by merge_orders."""
+    """(pairs, p): batches of random pairs over 0..p-1 merged by merge_orders."""
     p = draw(st.integers(1, 9))
     pair = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)).filter(lambda ab: ab[0] != ab[1])
-    k = PairOrderList.empty()
+    k = frozenset()
     if p > 1:
         for batch in draw(st.lists(st.lists(pair, max_size=12), max_size=4)):
             k = merge_orders(k, batch)
@@ -175,69 +151,52 @@ def merged_relations(draw):
 
 
 @st.composite
-def hand_built_relations(draw):
-    """(k, p): an acyclic relation between consecutive runs of a permutation,
-    each run of two or more a group with its members listed in any order."""
+def acyclic_relations(draw):
+    """(pairs, p): a random set of the pairs that follow a random permutation of 0..p-1."""
     p = draw(st.integers(1, 9))
     order = draw(st.permutations(range(p)))
-    cuts = sorted(draw(st.sets(st.integers(1, p - 1), max_size=p - 1))) if p > 1 else []
-    runs = [order[a:b] for a, b in zip([0] + cuts, cuts + [p])]
-    forward = [(a, b) for i, run in enumerate(runs) for later in runs[i + 1:] for a in run for b in later]
+    forward = list(combinations(order, 2))
     pairs = draw(st.sets(st.sampled_from(forward), max_size=len(forward))) if forward else set()
-    groups = tuple(tuple(draw(st.permutations(run))) for run in runs if len(run) > 1)
-    return PairOrderList(frozenset(pairs), groups), p
+    return frozenset(pairs), p
 
 
 class TestBuildBlockOrder:
     def test_incomparable_nodes_sorted_by_index(self):
-        k = merge_orders(PairOrderList.empty(), [(0, 1), (0, 2)])
+        k = merge_orders(frozenset(), [(0, 1), (0, 2)])
         assert build_block_order(k, 3).to_lists() == [[0], [1], [2]]
 
     def test_no_pairs_gives_index_order(self):
-        assert build_block_order(PairOrderList.empty(), 3).to_lists() == [[0], [1], [2]]
-
-    def test_merged_group_is_one_block(self):
-        k = merge_orders(PairOrderList.empty(), [(1, 2), (2, 1), (1, 3)])
-        assert build_block_order(k, 4).to_lists() == [[0], [1, 2], [3]]
+        assert build_block_order(frozenset(), 3).to_lists() == [[0], [1], [2]]
 
     def test_out_of_range_pair_rejected(self):
-        k = merge_orders(PairOrderList.empty(), [(0, 9)])
+        k = merge_orders(frozenset(), [(0, 9)])
         with pytest.raises(InvalidInputError):
             build_block_order(k, 3)
 
-    def test_group_listed_out_of_order_ranks_by_smallest_member(self):
-        k = PairOrderList(frozenset(), ((3, 1),))
-        assert build_block_order(k, 4).to_lists() == [[0], [1, 3], [2]]
-
-    @given(relation=st.one_of(merged_relations(), hand_built_relations()))
+    @given(relation=st.one_of(merged_relations(), acyclic_relations()))
     @settings(max_examples=300, deadline=None)
     def test_matches_its_definition(self, relation):
         k, p = relation
         reach = reference_reachability(k, p)
+        if any(reach[u][v] and reach[v][u] for u in range(p) for v in range(u)):
+            with pytest.raises(InvalidInputError, match="cyclic"):
+                build_block_order(k, p)
+            return
         blocks = build_block_order(k, p).blocks
-        classes = {frozenset(v for v in range(p) if reach[u][v] and reach[v][u]) for u in range(p)}
-        assert {frozenset(block) for block in blocks} == classes
-        for i, earlier in enumerate(blocks):
-            for later in blocks[i + 1:]:
-                assert not any(reach[v][u] for u in earlier for v in later)
+        assert [len(block) for block in blocks] == [1] * p
+        order = [block[0] for block in blocks]
+        for i, u in enumerate(order):
+            assert not any(reach[v][u] for v in order[i + 1:])
         unplaced = set(range(p))
-        for block in blocks:
-            ready = [v for v in unplaced if not any(reach[u][v] and not reach[v][u] for u in unplaced)]
-            assert min(ready) in block
-            unplaced -= set(block)
+        for v in order:
+            ready = [w for w in unplaced if not any(reach[u][w] for u in unplaced if u != w)]
+            assert v == min(ready)
+            unplaced.remove(v)
 
 
 def test_build_block_order_rejects_cyclic_relation():
     with pytest.raises(InvalidInputError):
-        build_block_order(PairOrderList(frozenset({(0, 1), (1, 0)}), ()), 2)
-
-
-def test_cycle_through_a_group_joins_it():
-    k = merge_orders(PairOrderList.empty(), [(0, 1), (1, 0)])
-    k = merge_orders(k, [(1, 2), (2, 0), (2, 3)])
-    assert k.groups == ((0, 1, 2),)
-    assert k.pairs == frozenset({(2, 3)})
-    assert implied_constraints(k) == frozenset({(0, 3), (1, 3), (2, 3)})
+        build_block_order(frozenset({(0, 1), (1, 0)}), 2)
 
 
 class TestGlobalOrder:
@@ -508,6 +467,36 @@ class TestSkipRule:
         assert searched and skipped and joined
 
 
+class TestRunsFollowTheOrder:
+    """Every precedence pair a covering fit accumulates follows the global order,
+    which is why ``merge_orders`` needs no conflict handling."""
+
+    @pytest.mark.parametrize("p", [12, 30])
+    @pytest.mark.parametrize("h", [3, 4, 5])
+    def test_merged_pairs_and_their_closure_follow_the_order(self, p, h, monkeypatch):
+        batches, relations = [], []
+        merge = covering.merge_orders
+
+        def recording(pairs, new_pairs):
+            batches.append(list(new_pairs))
+            relations.append(merge(pairs, batches[-1]))
+            return relations[-1]
+
+        monkeypatch.setattr(covering, "merge_orders", recording)
+        cfg = SearchConfig(delta=0.01)
+        yielded = 0
+        for seed in range(4):
+            batches.clear()
+            relations.clear()
+            data, _ = generate_dataset(GenSpec(p=p, n=200, seed=seed, mode="chain_graph"))
+            fit_large(data, h, 12, cfg, seed)
+            forward = set(combinations(global_order(data), 2))
+            assert all(pair in forward for batch in batches for pair in batch)
+            assert implied_constraints(relations[-1]) <= forward
+            yielded += sum(map(len, batches))
+        assert yielded  # some run orders two variables
+
+
 class TestFitLarge:
     def test_degenerate_covering_matches_exact_search_on_dag(self):
         data, _ = generate_dataset(GenSpec(p=4, n=800, seed=11, mode="dag"))
@@ -530,7 +519,7 @@ class TestFitLarge:
     def test_pairwise_runs_reconstruct_total_order(self):
         data = power_chain()
         cfg = SearchConfig(delta=0.05)
-        k = PairOrderList.empty()
+        k = frozenset()
         for subset in [(a, b) for a in range(4) for b in range(a + 1, 4)]:
             ordering = group_search(data.restrict(subset), subset, cfg, implied_constraints(k))
             k = merge_orders(k, extract_pairs(ordering))

@@ -193,11 +193,23 @@ class TestResidualize:
             residualize(data, subset)
 
     def test_zero_variance_predictor_raises_singularity(self):
+        # named as DataMatrix.restrict names it, not as a collinear regressor
         rng = np.random.default_rng(9)
         rows = np.vstack([np.zeros(20), center(rng.standard_normal((1, 20))).values])
         data = DataMatrix(rows, (0, 1))
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(DegenerateInputError, match=r"^variable\(s\) \[0\] have zero variance$"):
             residualize(data, (0,))
+
+    @pytest.mark.parametrize("zero", [(0,), (3,), (0, 2)], ids=["first-regressor", "response", "two"])
+    def test_zero_variable_is_named_as_zero_variance(self, zero):
+        rows = center(np.random.default_rng(13).standard_normal((4, 30))).values
+        rows[list(zero)] = 0.0
+        data = DataMatrix(rows, (0, 1, 2, 3))
+        message = re.escape(f"variable(s) {list(zero)} have zero variance")
+        with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+            regress_on(data, (0, 1, 2))
+        with pytest.raises(DegenerateInputError, match=f"^{message}$"):
+            data.restrict(range(4))
 
     def test_regressor_of_huge_scale_is_solved(self):
         # the factor never squares the samples, so a scale whose covariance
@@ -328,12 +340,11 @@ class TestSolveSpd:
 
     @pytest.mark.parametrize("entry", [0.0, np.nan])
     def test_zero_or_nan_block_raises(self, entry):
-        # a regressor that is zero throughout is named with those before it;
-        # a NaN one never reaches the factor, since a DataMatrix holds only
-        # finite values
+        # a regressor that is zero throughout has zero variance; a NaN one
+        # never reaches the factor, since a DataMatrix holds only finite values
         rows = center(np.random.default_rng(11).standard_normal((4, 30))).values
         rows[2] = entry
-        error, message = ((SingularMatrixError, re.escape("variable(s) [2] regressed on [0, 1]:"))
+        error, message = ((DegenerateInputError, re.escape("variable(s) [2] have zero variance"))
                           if entry == 0.0 else (InvalidInputError, "must be finite"))
         with pytest.raises(error, match=message):
             regress_on(DataMatrix(rows, (0, 1, 2, 3)), (0, 1, 2))
